@@ -50,6 +50,9 @@
 #     BENCH_service.ci.json, and scripts/bench_diff.py prints the latency/
 #     throughput delta against the committed BENCH_service.json (50%
 #     threshold — service latency is the noisiest counter CI measures).
+#   * perfbench/smoke.py runs every benchmark workload (BENCHMARK.json) at
+#     minimum size, untraced and traced, and checks each result's shape and
+#     metric names (non-gating; it builds into .bench_build/).
 #
 # Usage: scripts/ci.sh [extra ctest -R regex]
 set -euo pipefail
@@ -129,3 +132,6 @@ if cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release >/dev/null 2>&1 &&
 else
   echo "perf smoke skipped (Release build unavailable)"
 fi
+
+# --- non-gating benchmark smoke ----------------------------------------------
+python3 perfbench/smoke.py || echo "perfbench smoke failed (non-gating)"

@@ -58,7 +58,7 @@ std::vector<Message> GkMultiAborter::on_round(sim::AdvContext& ctx,
 
   // Pool this round's summands: the coalition's own (about to go out) plus
   // the honest ones seen early thanks to rushing.
-  std::map<std::size_t, std::map<sim::PartyId, Bytes>> by_round;
+  std::map<std::size_t, std::map<sim::PartyId, ByteView>> by_round;
   auto absorb = [&](sim::MsgView msgs) {
     for (const Message& m : msgs) {
       const auto sh = fair::decode_gk_multi_share(m.payload);
@@ -70,7 +70,7 @@ std::vector<Message> GkMultiAborter::on_round(sim::AdvContext& ctx,
 
   for (const auto& [j, shares] : by_round) {
     if (shares.size() != n_) continue;
-    std::vector<Bytes> pool;
+    std::vector<ByteView> pool;
     pool.reserve(n_);
     for (const auto& [pid, s] : shares) pool.push_back(s);
     const Bytes v = xor_reconstruct(pool);

@@ -28,13 +28,14 @@ Bytes AuthShare2::to_bytes() const {
 
 std::optional<AuthShare2> AuthShare2::from_bytes(ByteView data) {
   Reader r(data);
-  const auto summand = r.blob();
-  const auto tag = r.blob();
-  const auto key_bytes = r.blob();
+  const auto summand = r.blob_view();
+  const auto tag = r.blob_view();
+  const auto key_bytes = r.blob_view();
   if (!summand || !tag || !key_bytes || !r.at_end()) return std::nullopt;
   const auto key = MacKey::from_bytes(*key_bytes);
   if (!key) return std::nullopt;
-  return AuthShare2{*summand, *tag, *key};
+  return AuthShare2{Bytes(summand->begin(), summand->end()), Bytes(tag->begin(), tag->end()),
+                    *key};
 }
 
 AuthSharing2 auth_share2(ByteView secret, Rng& rng) {
@@ -55,17 +56,17 @@ AuthSharing2 auth_share2(ByteView secret, Rng& rng) {
 
 std::optional<Bytes> auth_reconstruct2(const AuthShare2& mine, ByteView other_opening) {
   Reader r(other_opening);
-  const auto other_summand = r.blob();
-  const auto other_tag = r.blob();
+  const auto other_summand = r.blob_view();
+  const auto other_tag = r.blob_view();
   if (!other_summand || !other_tag || !r.at_end()) return std::nullopt;
   if (!mac_verify(mine.key, *other_summand, *other_tag)) return std::nullopt;
   if (other_summand->size() != mine.summand.size()) return std::nullopt;
 
   const Bytes payload = xor_bytes(mine.summand, *other_summand);
   Reader pr(payload);
-  const auto secret = pr.blob();
-  const auto tag1 = pr.blob();
-  const auto tag2 = pr.blob();
+  const auto secret = pr.blob_view();
+  const auto tag1 = pr.blob_view();
+  const auto tag2 = pr.blob_view();
   if (!secret || !tag1 || !tag2 || !pr.at_end()) return std::nullopt;
   // Verify the inner tag under our own key. We do not know whether we are p₁
   // or p₂ in the sharing, so accept if our key verifies either inner tag;
@@ -73,7 +74,7 @@ std::optional<Bytes> auth_reconstruct2(const AuthShare2& mine, ByteView other_op
   if (!mac_verify(mine.key, *secret, *tag1) && !mac_verify(mine.key, *secret, *tag2)) {
     return std::nullopt;
   }
-  return *secret;
+  return Bytes(secret->begin(), secret->end());
 }
 
 }  // namespace fairsfe

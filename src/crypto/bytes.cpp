@@ -119,16 +119,16 @@ std::optional<std::uint64_t> Reader::u64() {
 }
 
 std::optional<Bytes> Reader::blob() {
-  const auto len = u32();
-  if (!len) return std::nullopt;
-  return raw(*len);
+  const auto view = blob_view();
+  if (!view) return std::nullopt;
+  return Bytes(view->begin(), view->end());
 }
 
-std::optional<Bytes> Reader::raw(std::size_t n) {
-  if (remaining() < n) return std::nullopt;
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
+std::optional<ByteView> Reader::blob_view() {
+  const auto len = u32();
+  if (!len || remaining() < *len) return std::nullopt;
+  const ByteView out = data_.subspan(pos_, *len);
+  pos_ += *len;
   return out;
 }
 

@@ -72,7 +72,9 @@ class Reader {
   std::optional<std::uint32_t> u32();
   std::optional<std::uint64_t> u64();
   std::optional<Bytes> blob();
-  std::optional<Bytes> raw(std::size_t n);
+  /// Zero-copy blob(): a view into the reader's buffer, valid as long as that
+  /// buffer is.
+  std::optional<ByteView> blob_view();
   std::optional<std::string> str();
 
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }

@@ -19,13 +19,13 @@ std::vector<Bytes> xor_share(ByteView secret, std::size_t n, Rng& rng) {
   return shares;
 }
 
-Bytes xor_reconstruct(const std::vector<Bytes>& shares) {
+Bytes xor_reconstruct(std::span<const ByteView> shares) {
   FAIRSFE_CHECK(!shares.empty(), "xor_reconstruct over zero shares");
-  Bytes acc = shares.front();
+  Bytes acc(shares.front().begin(), shares.front().end());
   for (std::size_t i = 1; i < shares.size(); ++i) {
     FAIRSFE_CHECK(shares[i].size() == acc.size(),
                   "xor_reconstruct: share length mismatch");
-    acc = xor_bytes(acc, shares[i]);
+    for (std::size_t k = 0; k < acc.size(); ++k) acc[k] ^= shares[i][k];
   }
   return acc;
 }

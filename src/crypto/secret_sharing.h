@@ -18,7 +18,7 @@ class Rng;
 std::vector<Bytes> xor_share(ByteView secret, std::size_t n, Rng& rng);
 
 /// Recombine XOR-additive shares. Precondition: all same length, non-empty.
-Bytes xor_reconstruct(const std::vector<Bytes>& shares);
+Bytes xor_reconstruct(std::span<const ByteView> shares);
 
 /// Split a field element into `n` additive shares over F_p.
 std::vector<Fp> additive_share(Fp secret, std::size_t n, Rng& rng);

@@ -1,5 +1,7 @@
 #include "fair/gk.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace fairsfe::fair {
@@ -42,14 +44,89 @@ Bytes encode_gk_opening(std::size_t j, ByteView opening) {
   return w.take();
 }
 
-std::optional<std::pair<std::size_t, Bytes>> decode_gk_opening(ByteView payload) {
+std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView payload) {
   Reader r(payload);
   const auto tag = r.u8();
   if (!tag || *tag != kTagGkOpening) return std::nullopt;
   const auto j = r.u32();
-  const auto body = r.blob();
+  const auto body = r.blob_view();
   if (!j || !body || !r.at_end()) return std::nullopt;
   return std::make_pair(static_cast<std::size_t>(*j), *body);
+}
+
+std::shared_ptr<const GkStreams> GkStreams::parse(sim::PartyId id, ByteView body) {
+  Reader r(body);
+  const auto cap = r.u32();
+  const auto fallback = r.blob_view();
+  if (!cap || !fallback) return nullptr;
+  auto streams = std::make_shared<GkStreams>();
+  streams->fallback.assign(fallback->begin(), fallback->end());
+  // Each iteration takes at least two length prefixes: a hostile cap cannot
+  // reserve more than the body could hold.
+  const std::size_t n = std::min<std::size_t>(*cap, r.remaining() / 8);
+  streams->incoming.reserve(n);
+  streams->outgoing.reserve(n);
+  for (std::size_t j = 1; j <= *cap; ++j) {
+    const auto sa = r.blob_view();
+    const auto sb = r.blob_view();
+    auto share_a = sa ? AuthShare2::from_bytes(*sa) : std::nullopt;
+    auto share_b = sb ? AuthShare2::from_bytes(*sb) : std::nullopt;
+    if (!share_a || !share_b) return nullptr;
+    // p1 reads the a-stream and opens the b-stream; p2 vice versa.
+    streams->incoming.push_back(std::move(id == 0 ? *share_a : *share_b));
+    streams->outgoing.push_back(std::move(id == 0 ? *share_b : *share_a));
+  }
+  return streams;
+}
+
+std::vector<Message> GkStreams::opening(sim::PartyId from, std::size_t j) const {
+  if (j == 0 || j > outgoing.size()) return {};
+  return {Message{from, static_cast<sim::PartyId>(1 - from),
+                  encode_gk_opening(j, outgoing[j - 1].opening_to_bytes())}};
+}
+
+std::optional<Bytes> GkStreams::reconstruct(sim::PartyId me, std::size_t j,
+                                            MsgView in) const {
+  if (j == 0 || j > incoming.size()) return std::nullopt;
+  for (const Message& m : in) {
+    if (m.from != 1 - me) continue;
+    const auto dec = decode_gk_opening(m.payload);
+    if (dec && dec->first == j) return auth_reconstruct2(incoming[j - 1], dec->second);
+  }
+  return std::nullopt;
+}
+
+std::vector<Message> deal_gk_streams(sim::FuncContext& ctx, const mpc::NotesPtr& notes,
+                                     std::size_t rounds, std::size_t i_star, const Bytes& y,
+                                     const std::function<Bytes()>& fake_a,
+                                     const std::function<Bytes()>& fake_b) {
+  Rng& rng = ctx.rng();
+  Writer w1, w2;
+  w1.u32(static_cast<std::uint32_t>(rounds)).blob(fake_a());  // a_0 fallback for p1
+  w2.u32(static_cast<std::uint32_t>(rounds)).blob(fake_b());  // b_0 fallback for p2
+  for (std::size_t j = 1; j <= rounds; ++j) {
+    const Bytes a_j = (j < i_star) ? fake_a() : y;
+    const Bytes b_j = (j < i_star) ? fake_b() : y;
+    const AuthSharing2 sa = auth_share2(a_j, rng);
+    const AuthSharing2 sb = auth_share2(b_j, rng);
+    w1.blob(sa.share1.to_bytes()).blob(sb.share1.to_bytes());
+    w2.blob(sa.share2.to_bytes()).blob(sb.share2.to_bytes());
+  }
+
+  std::vector<Message> deliveries = {
+      Message{sim::kFunc, 0, sim::encode_func_output(w1.bytes())},
+      Message{sim::kFunc, 1, sim::encode_func_output(w2.bytes())},
+  };
+  std::vector<Message> corrupted_outputs;
+  for (const Message& m : deliveries) {
+    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
+  }
+  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  if (notes) notes->vals["phase1_aborted"] = abort ? 1 : 0;
+  for (Message& m : deliveries) {
+    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
+  }
+  return deliveries;
 }
 
 ShareGenFunc::ShareGenFunc(GkParams params, mpc::NotesPtr notes)
@@ -98,34 +175,7 @@ std::vector<Message> ShareGenFunc::on_round(sim::FuncContext& ctx, int /*round*/
     if (params_.variant == GkParams::Variant::kPolyRange) return params_.sample_range(rng);
     return params_.spec.eval({params_.sample_x1(rng), *inputs[1]});
   };
-
-  Writer w1, w2;
-  w1.u32(static_cast<std::uint32_t>(cap)).blob(fake_a());  // a_0 fallback for p1
-  w2.u32(static_cast<std::uint32_t>(cap)).blob(fake_b());  // b_0 fallback for p2
-  for (std::size_t j = 1; j <= cap; ++j) {
-    const Bytes a_j = (j < i_star) ? fake_a() : y;
-    const Bytes b_j = (j < i_star) ? fake_b() : y;
-    const AuthSharing2 sa = auth_share2(a_j, rng);
-    const AuthSharing2 sb = auth_share2(b_j, rng);
-    w1.blob(sa.share1.to_bytes()).blob(sb.share1.to_bytes());
-    w2.blob(sa.share2.to_bytes()).blob(sb.share2.to_bytes());
-  }
-
-  std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, sim::encode_func_output(w1.bytes())},
-      Message{sim::kFunc, 1, sim::encode_func_output(w2.bytes())},
-  };
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+  return deal_gk_streams(ctx, notes_, cap, i_star, y, fake_a, fake_b);
 }
 
 GkParty::GkParty(sim::PartyId id, GkParams params, Bytes input, Rng rng)
@@ -140,13 +190,6 @@ void GkParty::finish_with_default() {
   finish(params_.spec.eval(xs));
 }
 
-std::vector<Message> GkParty::make_opening(std::size_t j) const {
-  if (j == 0 || j > outgoing_shares_.size()) return {};
-  const AuthShare2& share = outgoing_shares_[j - 1];
-  return {Message{id_, static_cast<sim::PartyId>(1 - id_),
-                  encode_gk_opening(j, share.opening_to_bytes())}};
-}
-
 std::vector<Message> GkParty::on_round(int /*round*/, MsgView in) {
   switch (step_) {
     case Step::kSendInput: {
@@ -157,79 +200,44 @@ std::vector<Message> GkParty::on_round(int /*round*/, MsgView in) {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
       const auto body = sim::decode_func_output(fm->payload);
-      if (!body) {
+      streams_ = body ? GkStreams::parse(id_, *body) : nullptr;
+      if (!streams_) {
         finish_with_default();
         return {};
       }
-      Reader r(*body);
-      const auto cap = r.u32();
-      const auto fallback = r.blob();
-      if (!cap || !fallback) {
-        finish_with_default();
-        return {};
-      }
-      rounds_ = *cap;
-      last_value_ = *fallback;
-      for (std::size_t j = 1; j <= rounds_; ++j) {
-        const auto sa = r.blob();
-        const auto sb = r.blob();
-        const auto share_a = sa ? AuthShare2::from_bytes(*sa) : std::nullopt;
-        const auto share_b = sb ? AuthShare2::from_bytes(*sb) : std::nullopt;
-        if (!share_a || !share_b) {
-          finish_with_default();
-          return {};
-        }
-        // p1 reads the a-stream and opens the b-stream; p2 vice versa.
-        if (id_ == 0) {
-          incoming_shares_.push_back(*share_a);
-          outgoing_shares_.push_back(*share_b);
-        } else {
-          incoming_shares_.push_back(*share_b);
-          outgoing_shares_.push_back(*share_a);
-        }
-      }
+      last_value_ = streams_->fallback;
       step_ = Step::kIterate;
       j_ = 1;
       if (id_ == 1) {
         // p2 opens a_1 immediately; p1 waits for it.
         expecting_ = false;
-        return make_opening(1);
+        return streams_->opening(id_, 1);
       }
       expecting_ = true;
       return {};
     }
     case Step::kIterate: {
-      // Find the opening for the current iteration of my incoming stream.
-      std::optional<Bytes> body;
-      for (const Message& m : in) {
-        if (m.from != 1 - id_) continue;
-        const auto dec = decode_gk_opening(m.payload);
-        if (dec && dec->first == j_) {
-          body = dec->second;
-          break;
-        }
-      }
       if (!expecting_) {
         // My own opening went out last round; now it is my turn to receive
         // (p2 after opening a_j waits a round for b_j).
         expecting_ = true;
         return {};
       }
-      const auto value = body ? auth_reconstruct2(incoming_shares_[j_ - 1], *body)
-                              : std::nullopt;
+      auto value = streams_->reconstruct(id_, j_, in);
       if (!value) {
         // Peer aborted (or cheated): output the last reconstructed value —
         // the randomized-abort guarantee.
         finish(last_value_);
         return {};
       }
-      last_value_ = *value;
+      last_value_ = std::move(*value);
+      const std::size_t rounds = streams_->rounds();
       if (id_ == 0) {
         // p1 reconstructs a_j, then opens b_j. After the final iteration its
         // value is a_r = y. The round after sending is a gap round (the peer
         // is processing), so expecting_ flips off.
-        std::vector<Message> out = make_opening(j_);
-        if (j_ == rounds_) {
+        std::vector<Message> out = streams_->opening(id_, j_);
+        if (j_ == rounds) {
           finish(last_value_);
         } else {
           ++j_;
@@ -238,13 +246,13 @@ std::vector<Message> GkParty::on_round(int /*round*/, MsgView in) {
         return out;
       }
       // p2 reconstructed b_j; move to iteration j+1 and open a_{j+1}.
-      if (j_ == rounds_) {
+      if (j_ == rounds) {
         finish(last_value_);
         return {};
       }
       ++j_;
       expecting_ = false;
-      return make_opening(j_);
+      return streams_->opening(id_, j_);
     }
   }
   return {};

@@ -51,6 +51,44 @@ struct GkParams {
 /// example; with p = 4 this is the "standard 1/4-secure protocol").
 GkParams make_gk_and_params(std::size_t p);
 
+/// One party's ShareGen delivery for the two-party 1/p protocols (GK here,
+/// round sampling in fair/partial_1p.h), parsed once at kAwaitShares. The
+/// wire format is u32 cap ‖ blob(fallback) ‖ cap × (blob(a_j half) ‖
+/// blob(b_j half)), each half an AuthShare2::to_bytes. Immutable after
+/// parsing, so party clones share it instead of copying 2·cap shares.
+struct GkStreams {
+  Bytes fallback;                    ///< a_0 (p1) / b_0 (p2)
+  std::vector<AuthShare2> incoming;  ///< [j-1]: my half of the value I reconstruct
+  std::vector<AuthShare2> outgoing;  ///< [j-1]: my half of the value I open
+
+  [[nodiscard]] std::size_t rounds() const { return incoming.size(); }
+
+  /// Parse the delivery body for party `id`: p1 (id 0) reads the a-stream
+  /// and opens the b-stream, p2 vice versa. nullptr if any piece is
+  /// malformed.
+  static std::shared_ptr<const GkStreams> parse(sim::PartyId id, ByteView body);
+
+  /// `from`'s opening of iteration j of its outgoing stream, addressed to the
+  /// peer; empty when j is out of range.
+  [[nodiscard]] std::vector<sim::Message> opening(sim::PartyId from, std::size_t j) const;
+
+  /// The iteration-j value `me` reconstructs from the peer's opening in `in`;
+  /// std::nullopt if the opening is missing or fails its MACs.
+  [[nodiscard]] std::optional<Bytes> reconstruct(sim::PartyId me, std::size_t j,
+                                                 sim::MsgView in) const;
+};
+
+/// The dealer step both two-party 1/p functionalities share: writes the
+/// GkStreams deliveries for `rounds` iterations (fakes before i*, y from i*
+/// on), runs the unfair abort gate (recording "phase1_aborted") and returns
+/// the two deliveries. Draw order: a_0, b_0, then per iteration the fake a_j
+/// and b_j (before i*) and the sharings of a_j and b_j.
+std::vector<sim::Message> deal_gk_streams(sim::FuncContext& ctx, const mpc::NotesPtr& notes,
+                                          std::size_t rounds, std::size_t i_star,
+                                          const Bytes& y,
+                                          const std::function<Bytes()>& fake_a,
+                                          const std::function<Bytes()>& fake_b);
+
 /// ShareGen functionality. Unfair abort gate. Records "y" (blob), "i_star".
 class ShareGenFunc final : public sim::IFunctionality {
  public:
@@ -79,10 +117,6 @@ class GkParty final : public sim::PartyBase<GkParty> {
   [[nodiscard]] std::size_t iteration() const { return j_; }
   [[nodiscard]] bool stream_started() const { return step_ == Step::kIterate; }
 
-  /// The opening message this party would send for iteration j of its
-  /// outgoing stream (used by attack strategies that deviate selectively).
-  [[nodiscard]] std::vector<sim::Message> make_opening(std::size_t j) const;
-
  private:
   enum class Step { kSendInput, kAwaitShares, kIterate };
 
@@ -93,12 +127,10 @@ class GkParty final : public sim::PartyBase<GkParty> {
   Rng rng_;
 
   Step step_ = Step::kSendInput;
-  std::size_t rounds_ = 0;
   std::size_t j_ = 1;           // current iteration
   bool expecting_ = false;       // p1: waiting for a_j; p2: waiting for b_j
   Bytes last_value_;             // a_{j-1} / b_{j-1} fallback
-  std::vector<AuthShare2> incoming_shares_;  // my halves of the stream I read
-  std::vector<AuthShare2> outgoing_shares_;  // my halves of the stream I open
+  std::shared_ptr<const GkStreams> streams_;  // set at kAwaitShares; shared by clones
 };
 
 /// Build the two GK parties for inputs (x1, x2); pair with ShareGenFunc.
@@ -106,8 +138,9 @@ std::vector<std::unique_ptr<sim::IParty>> make_gk_parties(const GkParams& params
                                                           const Bytes& x0, const Bytes& x1,
                                                           Rng& rng);
 
-/// Wire helpers (shared with the Π̃ wrapper in fair/leaky_and.h).
+/// Wire helpers (shared with the Π̃ wrapper in fair/leaky_and.h). The
+/// decoded opening is a view into `payload`.
 Bytes encode_gk_opening(std::size_t j, ByteView opening);
-std::optional<std::pair<std::size_t, Bytes>> decode_gk_opening(ByteView payload);
+std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView payload);
 
 }  // namespace fairsfe::fair

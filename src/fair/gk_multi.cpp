@@ -1,5 +1,7 @@
 #include "fair/gk_multi.h"
 
+#include <algorithm>
+
 #include "crypto/secret_sharing.h"
 #include "crypto/sha256.h"
 
@@ -45,8 +47,8 @@ std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload) {
   const auto tag = r.u8();
   if (!tag || *tag != kTagMultiShare) return std::nullopt;
   const auto j = r.u32();
-  const auto summand = r.blob();
-  const auto nonce = r.blob();
+  const auto summand = r.blob_view();
+  const auto nonce = r.blob_view();
   if (!j || !summand || !nonce || !r.at_end()) return std::nullopt;
   return GkMultiShare{static_cast<std::size_t>(*j), *summand, *nonce};
 }
@@ -154,6 +156,32 @@ void GkMultiParty::finish_with_default() {
   finish(params_.spec.eval(xs));
 }
 
+std::shared_ptr<const GkMultiParty::Dealt> GkMultiParty::Dealt::parse(std::size_t n,
+                                                                      Bytes body) {
+  auto dealt = std::make_shared<Dealt>();
+  dealt->body = std::move(body);
+  dealt->n = n;
+  Reader r(dealt->body);
+  const auto cap = r.u32();
+  const auto fallback = r.blob_view();
+  if (!cap || !fallback) return nullptr;
+  dealt->fallback = *fallback;
+  // Each view takes at least a length prefix: a hostile cap cannot reserve
+  // more than the body could hold.
+  dealt->views.reserve(std::min<std::size_t>(*cap * (n + 2), r.remaining() / 4));
+  for (std::size_t k = 0; k < *cap * (n + 2); ++k) {
+    const auto v = r.blob_view();
+    if (!v) return nullptr;
+    dealt->views.push_back(*v);
+  }
+  return dealt;
+}
+
+std::vector<Message> GkMultiParty::broadcast_share(std::size_t j) const {
+  return {Message{id_, sim::kBroadcast,
+                  encode_gk_multi_share(j, dealt_->summand(j), dealt_->nonce(j))}};
+}
+
 std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
   const std::size_t n = params_.spec.n;
   switch (step_) {
@@ -164,73 +192,44 @@ std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitShares: {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      if (!body) {
+      auto body = sim::decode_func_output(fm->payload);
+      dealt_ = body ? Dealt::parse(n, std::move(*body)) : nullptr;
+      if (!dealt_ || dealt_->rounds() == 0) {
         finish_with_default();
         return {};
       }
-      Reader r(*body);
-      const auto cap = r.u32();
-      const auto fallback = r.blob();
-      if (!cap || !fallback) {
-        finish_with_default();
-        return {};
-      }
-      rounds_ = *cap;
-      last_value_ = *fallback;
-      for (std::size_t j = 1; j <= rounds_; ++j) {
-        const auto summand = r.blob();
-        const auto nonce = r.blob();
-        if (!summand || !nonce) {
-          finish_with_default();
-          return {};
-        }
-        my_summands_.push_back(*summand);
-        my_nonces_.push_back(*nonce);
-        std::vector<Bytes> hs(n);
-        for (std::size_t p = 0; p < n; ++p) {
-          const auto h = r.blob();
-          if (!h) {
-            finish_with_default();
-            return {};
-          }
-          hs[p] = *h;
-        }
-        hashes_.push_back(std::move(hs));
-      }
+      last_value_.assign(dealt_->fallback.begin(), dealt_->fallback.end());
       step_ = Step::kIterate;
       j_ = 1;
-      return {Message{id_, sim::kBroadcast,
-                      encode_gk_multi_share(1, my_summands_[0], my_nonces_[0])}};
+      return broadcast_share(1);
     }
     case Step::kIterate: {
       // Collect everyone's round-j_ summands (my own broadcast loops back).
-      std::vector<std::optional<Bytes>> summands(n);
+      std::vector<ByteView> summands(n);
+      std::vector<bool> seen(n, false);
       for (const Message& m : in) {
         if (m.from < 0 || m.from >= static_cast<sim::PartyId>(n)) continue;
         const auto sh = decode_gk_multi_share(m.payload);
         if (!sh || sh->j != j_) continue;
         const std::size_t p = static_cast<std::size_t>(m.from);
-        if (gk_multi_share_hash(j_, sh->nonce, sh->summand) != hashes_[j_ - 1][p]) continue;
-        if (!summands[p]) summands[p] = sh->summand;
+        if (!ct_equal(gk_multi_share_hash(j_, sh->nonce, sh->summand), dealt_->hash(j_, p))) {
+          continue;
+        }
+        if (!seen[p]) summands[p] = sh->summand;
+        seen[p] = true;
       }
-      std::vector<Bytes> pool;
-      for (const auto& s : summands) {
-        if (s) pool.push_back(*s);
-      }
-      if (pool.size() != n) {
+      if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
         // Someone withheld or forged: end with the last reconstructed value.
         finish(last_value_);
         return {};
       }
-      last_value_ = xor_reconstruct(pool);
-      if (j_ == rounds_) {
+      last_value_ = xor_reconstruct(summands);
+      if (j_ == dealt_->rounds()) {
         finish(last_value_);
         return {};
       }
       ++j_;
-      return {Message{id_, sim::kBroadcast,
-                      encode_gk_multi_share(j_, my_summands_[j_ - 1], my_nonces_[j_ - 1])}};
+      return broadcast_share(j_);
     }
   }
   return {};

@@ -67,32 +67,52 @@ class GkMultiParty final : public sim::PartyBase<GkMultiParty> {
  private:
   enum class Step { kSendInput, kAwaitShares, kIterate };
 
+  /// This party's ShareGen delivery, parsed once at kAwaitShares: the
+  /// buffer plus views into it. Immutable, so clones share it.
+  struct Dealt {
+    Bytes body;
+    std::size_t n = 0;
+    ByteView fallback;  ///< v_0
+    /// Per iteration j, n + 2 views: my XOR summand of v_j, its nonce, then
+    /// the commitment of each party's round-j summand.
+    std::vector<ByteView> views;
+
+    Dealt() = default;
+    Dealt(const Dealt&) = delete;  // the views point into this body
+    Dealt& operator=(const Dealt&) = delete;
+
+    [[nodiscard]] std::size_t rounds() const { return views.size() / (n + 2); }
+    [[nodiscard]] ByteView summand(std::size_t j) const { return views[(j - 1) * (n + 2)]; }
+    [[nodiscard]] ByteView nonce(std::size_t j) const { return views[(j - 1) * (n + 2) + 1]; }
+    [[nodiscard]] ByteView hash(std::size_t j, std::size_t p) const {
+      return views[(j - 1) * (n + 2) + 2 + p];
+    }
+    /// nullptr if any piece is malformed.
+    static std::shared_ptr<const Dealt> parse(std::size_t n, Bytes body);
+  };
+
   void finish_with_default();
+  [[nodiscard]] std::vector<sim::Message> broadcast_share(std::size_t j) const;
 
   GkMultiParams params_;
   Bytes input_;
   Rng rng_;
 
   Step step_ = Step::kSendInput;
-  std::size_t rounds_ = 0;
   std::size_t j_ = 1;
   Bytes last_value_;
-  /// my_summands_[j-1], my_nonces_[j-1]: my XOR summand of v_j + its nonce.
-  std::vector<Bytes> my_summands_;
-  std::vector<Bytes> my_nonces_;
-  /// hashes_[j-1][party]: commitment of each party's round-j summand.
-  std::vector<std::vector<Bytes>> hashes_;
+  std::shared_ptr<const Dealt> dealt_;  // set at kAwaitShares; shared by clones
 };
 
 std::vector<std::unique_ptr<sim::IParty>> make_gk_multi_parties(
     const GkMultiParams& params, const std::vector<Bytes>& inputs, Rng& rng);
 
-/// Round-j summand broadcast wire format.
+/// Round-j summand broadcast wire format. A decoded share views the payload.
 Bytes encode_gk_multi_share(std::size_t j, ByteView summand, ByteView nonce);
 struct GkMultiShare {
   std::size_t j = 0;
-  Bytes summand;
-  Bytes nonce;
+  ByteView summand;
+  ByteView nonce;
 };
 std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload);
 /// The commitment binding a summand: H("gk-multi" ‖ j ‖ nonce ‖ summand).

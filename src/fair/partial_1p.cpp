@@ -1,6 +1,5 @@
 #include "fair/partial_1p.h"
 
-#include "fair/gk.h"
 #include "util/check.h"
 
 namespace fairsfe::fair {
@@ -60,34 +59,7 @@ std::vector<Message> Partial1pShareGenFunc::on_round(sim::FuncContext& ctx, int 
   // peer input (the kPolyDomain shape, on both sides).
   auto fake_a = [&]() { return params_.spec.eval({*inputs[0], params_.sample_x2(rng)}); };
   auto fake_b = [&]() { return params_.spec.eval({params_.sample_x1(rng), *inputs[1]}); };
-
-  Writer w1, w2;
-  w1.u32(static_cast<std::uint32_t>(p)).blob(fake_a());  // a_0 fallback for p1
-  w2.u32(static_cast<std::uint32_t>(p)).blob(fake_b());  // b_0 fallback for p2
-  for (std::size_t j = 1; j <= p; ++j) {
-    const Bytes a_j = (j < i_star) ? fake_a() : y;
-    const Bytes b_j = (j < i_star) ? fake_b() : y;
-    const AuthSharing2 sa = auth_share2(a_j, rng);
-    const AuthSharing2 sb = auth_share2(b_j, rng);
-    w1.blob(sa.share1.to_bytes()).blob(sb.share1.to_bytes());
-    w2.blob(sa.share2.to_bytes()).blob(sb.share2.to_bytes());
-  }
-
-  std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, sim::encode_func_output(w1.bytes())},
-      Message{sim::kFunc, 1, sim::encode_func_output(w2.bytes())},
-  };
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+  return deal_gk_streams(ctx, notes_, p, i_star, y, fake_a, fake_b);
 }
 
 Partial1pParty::Partial1pParty(sim::PartyId id, Partial1pParams params, Bytes input,
@@ -103,13 +75,6 @@ void Partial1pParty::finish_with_default() {
   finish(params_.spec.eval(xs));
 }
 
-std::vector<Message> Partial1pParty::make_opening(std::size_t j) const {
-  if (j == 0 || j > outgoing_shares_.size()) return {};
-  const AuthShare2& share = outgoing_shares_[j - 1];
-  return {Message{id_, static_cast<sim::PartyId>(1 - id_),
-                  encode_gk_opening(j, share.opening_to_bytes())}};
-}
-
 std::vector<Message> Partial1pParty::on_round(int /*round*/, MsgView in) {
   switch (step_) {
     case Step::kSendInput: {
@@ -120,71 +85,36 @@ std::vector<Message> Partial1pParty::on_round(int /*round*/, MsgView in) {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
       const auto body = sim::decode_func_output(fm->payload);
-      if (!body) {
+      streams_ = body ? GkStreams::parse(id_, *body) : nullptr;
+      if (!streams_) {
         finish_with_default();
         return {};
       }
-      Reader r(*body);
-      const auto cap = r.u32();
-      const auto fallback = r.blob();
-      if (!cap || !fallback) {
-        finish_with_default();
-        return {};
-      }
-      rounds_ = *cap;
-      last_value_ = *fallback;
-      for (std::size_t j = 1; j <= rounds_; ++j) {
-        const auto sa = r.blob();
-        const auto sb = r.blob();
-        const auto share_a = sa ? AuthShare2::from_bytes(*sa) : std::nullopt;
-        const auto share_b = sb ? AuthShare2::from_bytes(*sb) : std::nullopt;
-        if (!share_a || !share_b) {
-          finish_with_default();
-          return {};
-        }
-        // p1 reads the a-stream and opens the b-stream; p2 vice versa.
-        if (id_ == 0) {
-          incoming_shares_.push_back(*share_a);
-          outgoing_shares_.push_back(*share_b);
-        } else {
-          incoming_shares_.push_back(*share_b);
-          outgoing_shares_.push_back(*share_a);
-        }
-      }
+      last_value_ = streams_->fallback;
       // Simultaneous schedule: BOTH parties open iteration 1 in the same
       // round (they received the dealer output in the same round).
       step_ = Step::kIterate;
       j_ = 1;
-      return make_opening(1);
+      return streams_->opening(id_, 1);
     }
     case Step::kIterate: {
       // My opening of iteration j_ went out last round; the peer's opening
       // of the same iteration must be in this round's input.
-      std::optional<Bytes> body;
-      for (const Message& m : in) {
-        if (m.from != 1 - id_) continue;
-        const auto dec = decode_gk_opening(m.payload);
-        if (dec && dec->first == j_) {
-          body = dec->second;
-          break;
-        }
-      }
-      const auto value = body ? auth_reconstruct2(incoming_shares_[j_ - 1], *body)
-                              : std::nullopt;
+      auto value = streams_->reconstruct(id_, j_, in);
       if (!value) {
         // Peer withheld its opening (or cheated): output the last
         // reconstructed value — the randomized-abort guarantee.
         finish(last_value_);
         return {};
       }
-      last_value_ = *value;
-      if (j_ == rounds_) {
+      last_value_ = std::move(*value);
+      if (j_ == streams_->rounds()) {
         // v_p = y by construction (i* ≤ p always).
         finish(last_value_);
         return {};
       }
       ++j_;
-      return make_opening(j_);
+      return streams_->opening(id_, j_);
     }
   }
   return {};

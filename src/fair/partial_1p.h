@@ -18,17 +18,15 @@
 // geometric draw gives 1/p against a *noticeability* threshold, while
 // round-sampling gives plain 1/p — the measured crossover E21 plots.
 //
-// Reuses the GK wire pieces: AuthShare2 authenticated sharings and the
-// encode_gk_opening / decode_gk_opening framing (fair/gk.h).
+// Reuses the GK wire pieces: AuthShare2 authenticated sharings, the
+// encode_gk_opening / decode_gk_opening framing and the GkStreams parser
+// (fair/gk.h).
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "crypto/auth_share.h"
-#include "crypto/rng.h"
-#include "mpc/sfe_functionalities.h"
-#include "sim/party.h"
+#include "fair/gk.h"
 
 namespace fairsfe::fair {
 
@@ -84,10 +82,6 @@ class Partial1pParty final : public sim::PartyBase<Partial1pParty> {
   [[nodiscard]] std::size_t iteration() const { return j_; }
   [[nodiscard]] bool stream_started() const { return step_ == Step::kIterate; }
 
-  /// The opening message this party would send for iteration j of its
-  /// outgoing stream.
-  [[nodiscard]] std::vector<sim::Message> make_opening(std::size_t j) const;
-
  private:
   enum class Step { kSendInput, kAwaitShares, kIterate };
 
@@ -98,11 +92,9 @@ class Partial1pParty final : public sim::PartyBase<Partial1pParty> {
   Rng rng_;
 
   Step step_ = Step::kSendInput;
-  std::size_t rounds_ = 0;
   std::size_t j_ = 1;  // iteration whose peer opening is awaited
   Bytes last_value_;   // fallback: the last reconstructed value
-  std::vector<AuthShare2> incoming_shares_;  // my halves of the stream I read
-  std::vector<AuthShare2> outgoing_shares_;  // my halves of the stream I open
+  std::shared_ptr<const GkStreams> streams_;  // set at kAwaitShares; shared by clones
 };
 
 /// Build the two exchange parties for inputs (x1, x2); pair with

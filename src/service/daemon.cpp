@@ -238,6 +238,11 @@ void Daemon::handle_estimate(const JsonValue& req,
   bench::Args args;
   args.quiet = true;
   if (req.find("runs") != nullptr) {
+    if (req.get_number("runs", 0.0) > static_cast<double>(kMaxRequestRuns)) {
+      conn->write_event(error_event(
+          id, "\"runs\" exceeds the per-request cap of " + std::to_string(kMaxRequestRuns)));
+      return;
+    }
     args.runs = static_cast<std::size_t>(req.get_u64("runs", 0));
     args.runs_set = true;
     if (args.runs == 0) {
@@ -246,6 +251,13 @@ void Daemon::handle_estimate(const JsonValue& req,
     }
   }
   if (req.find("seed") != nullptr) args.seed = req.get_u64("seed", 0);
+  const std::size_t max_threads = util::ThreadPool::resolve(0);
+  if (req.get_number("threads", 1.0) > static_cast<double>(max_threads)) {
+    conn->write_event(error_event(
+        id, "\"threads\" exceeds this host's " + std::to_string(max_threads) +
+                " hardware threads"));
+    return;
+  }
   args.threads = static_cast<std::size_t>(req.get_u64("threads", 1));
   args.lanes = static_cast<std::size_t>(req.get_u64("lanes", 1));
   args.target_ci = req.get_number("target_ci", 0.0);

@@ -23,6 +23,12 @@
 // "id" is an opaque client token echoed on every response event for that
 // request, so one connection can pipeline requests.
 //
+// Field bounds fail closed with an error event: "runs" must lie in
+// [1, kMaxRequestRuns], and "threads" must not exceed the host's hardware
+// threads (util::ThreadPool::resolve(0); 0 = all of them). The offline batch
+// a request sizes (runs × per-run triples/ROTs) is overflow-checked in
+// run_scenario, which fails the estimate instead of wrapping.
+//
 // Response events (all single-line JSON objects with an "event" key):
 //
 //   {"event":"progress","id":...,"scenario":...,"row":N,"name":"..."}
@@ -67,6 +73,11 @@
 namespace fairsfe::service {
 
 class JsonValue;
+
+/// Largest "runs" one estimate request may ask for: 250× the largest
+/// registered default, and small enough that no registered offline budget
+/// overflows its batch size.
+inline constexpr std::size_t kMaxRequestRuns = 1'000'000;
 
 struct DaemonConfig {
   /// Non-empty: listen on this unix-domain socket path (preferred for local

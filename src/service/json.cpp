@@ -66,7 +66,7 @@ std::uint64_t JsonValue::get_u64(std::string_view key, std::uint64_t def) const 
   const JsonValue* v = find(key);
   if (v == nullptr || v->type() != Type::kNumber) return def;
   const double d = v->as_number();
-  if (!(d >= 0.0) || d != std::floor(d)) return def;
+  if (!(d >= 0.0) || d != std::floor(d) || d >= 0x1p64) return def;
   return static_cast<std::uint64_t>(d);
 }
 

@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "crypto/rng.h"
@@ -58,6 +60,17 @@ CachedBatch offline_batch_for(mpc::preproc::PreprocMode mode,
   return entry;
 }
 
+// runs × per-run consumption. Fails closed: a wrapped product would size
+// the batch far too small for the runs that draw from it.
+std::size_t batch_size(std::size_t runs, std::size_t per_run) {
+  std::size_t out = 0;
+  if (__builtin_mul_overflow(runs, per_run, &out)) {
+    throw std::length_error("offline batch size overflows: " + std::to_string(runs) +
+                            " runs x " + std::to_string(per_run) + " per run");
+  }
+  return out;
+}
+
 }  // namespace
 
 ScenarioRunResult run_scenario(const experiments::ScenarioSpec& spec,
@@ -79,8 +92,8 @@ ScenarioRunResult run_scenario(const experiments::ScenarioSpec& spec,
     const experiments::PreprocBudget& budget = *spec.preproc;
     mpc::preproc::PreprocRequest req;
     req.parties = budget.parties;
-    req.triples = rep.runs() * budget.triples_per_run;
-    req.rots = rep.runs() * budget.rots_per_run;
+    req.triples = batch_size(rep.runs(), budget.triples_per_run);
+    req.rots = batch_size(rep.runs(), budget.rots_per_run);
     const CachedBatch entry = offline_batch_for(
         args.preproc, req, rep.base_seed_or(spec.base_seed), cache_batches);
     ctx.batch = entry.batch;

@@ -12,9 +12,12 @@
 // both for real aborts and for the adversary's lock-detection probe ("run the
 // protocol on p's state assuming the peer aborted, and see what it outputs").
 //
-// `clone()` must deep-copy the full state; the adversary uses clones to probe
-// hypothetical continuations of corrupted parties it controls, which is
-// legitimate since it owns those states.
+// `clone()` must deep-copy all mutable state; immutable dealt state (a share
+// stream that never changes after it is delivered) may be shared between a
+// party and its clones via `shared_ptr<const>`, so a clone stays valid after
+// its original is destroyed. The adversary uses clones to probe hypothetical
+// continuations of corrupted parties it controls (once per round in the 1/p
+// attacks), which is legitimate since it owns those states.
 #pragma once
 
 #include <memory>

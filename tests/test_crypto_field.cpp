@@ -39,6 +39,62 @@ TEST(Bytes, ReaderRejectsTruncation) {
   EXPECT_EQ(r.blob(), std::nullopt);
 }
 
+TEST(Bytes, BlobViewRejectsTruncatedLengthPrefix) {
+  const Bytes data = {5, 0, 0};  // three of the four length bytes
+  Reader r(data);
+  EXPECT_FALSE(r.blob_view().has_value());
+}
+
+TEST(Bytes, BlobViewRejectsLengthPastEnd) {
+  Writer w;
+  w.u32(6).raw(bytes_of("hello"));
+  Reader r(w.bytes());
+  EXPECT_FALSE(r.blob_view().has_value());
+}
+
+TEST(Bytes, BlobViewZeroLength) {
+  Writer w;
+  w.blob(Bytes{});
+  Reader r(w.bytes());
+  const auto view = r.blob_view();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->empty());
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(Bytes, BlobViewAtEndAfterLastView) {
+  Writer w;
+  w.blob(bytes_of("ab")).blob(bytes_of("cde"));
+  Reader r(w.bytes());
+  ASSERT_TRUE(r.blob_view().has_value());
+  EXPECT_FALSE(r.at_end());
+  const auto last = r.blob_view();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(Bytes(last->begin(), last->end()), bytes_of("cde"));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_FALSE(r.blob_view().has_value());
+}
+
+TEST(Bytes, BlobViewEqualsBlob) {
+  Rng rng(31);
+  Writer w;
+  w.blob(bytes_of("hello")).blob(rng.bytes(300)).blob(Bytes{});
+  const Bytes data = w.take();
+  Reader copies(data);
+  Reader views(data);
+  for (int i = 0; i < 3; ++i) {
+    const auto blob = copies.blob();
+    const auto view = views.blob_view();
+    ASSERT_TRUE(blob.has_value() && view.has_value());
+    EXPECT_EQ(*blob, Bytes(view->begin(), view->end()));
+    // Zero-copy: the view points into the reader's buffer.
+    EXPECT_TRUE(view->empty() || (view->data() >= data.data() &&
+                                  view->data() + view->size() <= data.data() + data.size()));
+  }
+  EXPECT_TRUE(copies.at_end());
+  EXPECT_TRUE(views.at_end());
+}
+
 TEST(Bytes, XorAndCtEqual) {
   const Bytes a = {1, 2, 3};
   const Bytes b = {3, 2, 1};
@@ -144,6 +200,82 @@ TEST(Mac, KeySerializationRoundTrip) {
   ASSERT_TRUE(k2.has_value());
   EXPECT_EQ(k2->a, k.a);
   EXPECT_EQ(k2->b, k.b);
+}
+
+// Known-answer pins for the one-time MAC: tag hex for two fixed keys at the
+// lengths around the 7-byte limb boundaries, the GK stream payload (29 bytes)
+// and a multi-limb message. Any rewrite of mac_tag must reproduce them byte
+// for byte — the GK-family goldens depend on every tag.
+Bytes kat_message(std::size_t len) {
+  Bytes m(len);
+  for (std::size_t i = 0; i < len; ++i) m[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  return m;
+}
+
+TEST(MacKat, PinnedTags) {
+  const MacKey k1{Fp(0x0123456789abcdefULL), Fp(0x1eedfacecafebeefULL)};
+  const MacKey k2{Fp(Fp::kP - 1), Fp(0)};  // a = -1: alternating limb sum
+  struct Case {
+    std::size_t len;
+    const char* tag_k1;
+    const char* tag_k2;
+  };
+  const Case cases[] = {
+      {0, "efbefecacefaed1e", "0000000000000000"},
+      {1, "9606ab76f2ece208", "0600000000000000"},
+      {6, "e9cf903da6f82a1e", "018a0d9013960000"},
+      {7, "2f20cea0bda79316", "008a0d9013961900"},
+      {8, "9a0a9370b86fac11", "63890d9013961900"},
+      {13, "31a01f0f5bafce01", "5e6a6b6a6b6a1900"},
+      {14, "8aa428d7eef94000", "5c6a6b6a6b6a6b1f"},
+      {15, "f0159a45ad406509", "8c6a6b6a6b6a6b1f"},
+      {29, "c6c0bb659cf77e1e", "13d5d6d4d6d4d61e"},
+      {64, "b3758531b4e1d305", "d7dc61e367e96d00"},
+  };
+  for (const Case& c : cases) {
+    const Bytes msg = kat_message(c.len);
+    EXPECT_EQ(to_hex(mac_tag(k1, msg)), c.tag_k1) << "len " << c.len;
+    EXPECT_EQ(to_hex(mac_tag(k2, msg)), c.tag_k2) << "len " << c.len;
+    EXPECT_TRUE(mac_verify(k1, msg, *from_hex(c.tag_k1))) << "len " << c.len;
+  }
+}
+
+TEST(MacKat, MatchesReferenceFoldOverBytesToField) {
+  // The definition: tag = b + Σ_i a^i · m_i over bytes_to_field's elements.
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const MacKey key = MacKey::random(rng);
+    const Bytes msg = rng.bytes(static_cast<std::size_t>(rng.below(201)));
+    Fp acc = key.b;
+    Fp apow(1);
+    for (const Fp m : bytes_to_field(msg)) {
+      apow *= key.a;
+      acc += apow * m;
+    }
+    EXPECT_EQ(mac_tag(key, msg), fp_to_bytes(acc)) << "len " << msg.size();
+  }
+}
+
+TEST(MacKat, VerifyRejectsMalformedTags) {
+  Rng rng(2025);
+  const MacKey key = MacKey::random(rng);
+  const Bytes msg = kat_message(29);
+  const Bytes tag = mac_tag(key, msg);
+  ASSERT_EQ(tag.size(), 8u);
+  ASSERT_TRUE(mac_verify(key, msg, tag));
+  EXPECT_FALSE(mac_verify(key, msg, ByteView(tag).first(7)));
+  Bytes long_tag = tag;
+  long_tag.push_back(0);
+  EXPECT_FALSE(mac_verify(key, msg, long_tag));
+  EXPECT_FALSE(mac_verify(key, msg, Bytes{}));
+  for (std::size_t bit = 0; bit < 64; ++bit) {
+    Bytes flipped = tag;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(mac_verify(key, msg, flipped)) << "tag bit " << bit;
+  }
+  Bytes flipped_msg = msg;
+  flipped_msg[13] ^= 0x10;
+  EXPECT_FALSE(mac_verify(key, flipped_msg, tag));
 }
 
 TEST(Commitment, OpensCorrectly) {

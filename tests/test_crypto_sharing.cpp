@@ -17,7 +17,8 @@ TEST(XorSharing, RoundTrip) {
   for (std::size_t n : {1u, 2u, 3u, 7u}) {
     const auto shares = xor_share(secret, n, rng);
     ASSERT_EQ(shares.size(), n);
-    EXPECT_EQ(xor_reconstruct(shares), secret);
+    const std::vector<ByteView> views(shares.begin(), shares.end());
+    EXPECT_EQ(xor_reconstruct(views), secret);
   }
 }
 
