@@ -8,7 +8,7 @@
 # carries only the binaries and the scripts the deployment uses.
 FROM debian:bookworm-slim AS build
 RUN apt-get update && apt-get install -y --no-install-recommends \
-        g++ cmake make python3 ca-certificates && \
+        g++ cmake make python3 ca-certificates libgtest-dev libbenchmark-dev && \
     rm -rf /var/lib/apt/lists/*
 WORKDIR /src
 COPY . .

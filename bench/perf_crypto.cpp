@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
-
 #include "crypto/auth_share.h"
 #include "crypto/chacha20.h"
 #include "crypto/commitment.h"
@@ -15,6 +13,7 @@
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
 #include "crypto/shamir.h"
+#include "experiments/report.h"
 
 namespace fairsfe {
 namespace {
@@ -143,7 +142,7 @@ BENCHMARK(BM_LamportSignVerify);
 }  // namespace
 }  // namespace fairsfe
 
-// Same CLI surface as fairbench/perf_protocols: --json and --filter are
+// Same CLI surface as fairbench: --json and --filter are
 // translated onto google-benchmark's flags, anything unrecognized passes
 // through to benchmark::Initialize untouched.
 int main(int argc, char** argv) {

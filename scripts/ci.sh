@@ -19,40 +19,22 @@
 # tests/CMakeLists.txt.
 #
 # 3. Daemon smoke (gating): start the Release fairbenchd on a unix socket,
-#    drive a request mix through scripts/loadtest.py --smoke, and assert the
+#    drive a small request mix through scripts/loadtest.py, and assert the
 #    daemon drains and exits 0 on SIGTERM — the graceful-shutdown contract.
 #
-# Afterwards, a non-gating perf + experiment smoke against a Release build:
+# Afterwards, a non-gating experiment and perf smoke against a Release build:
 #   * `fairbench --list` must enumerate the registered scenario table (a
-#     linker dropping scenario TUs would silently shrink it);
+#     linker dropping scenario TUs would silently shrink it; gating);
 #   * `fairbench --filter smoke --runs 32` sweeps every smoke-tagged
 #     scenario end-to-end (deviations at 32 runs are noise, never fatal);
-#   * perf_protocols --profile writes BENCH_hotpath.ci.json and
-#     scripts/bench_diff.py prints the delta against the committed
-#     BENCH_hotpath.json, flagging any perf counter more than 35% worse.
-#     Regressions are surfaced, never fatal (CI machines differ too much
-#     for a hard throughput gate);
-#   * perf_protocols --preproc does the same for the offline/online phase
-#     split against BENCH_preproc.json — and its built-in >= 3x
-#     online-vs-inline check on gmw_max_4party_8bit fails the perf step
-#     itself if the online Beaver path ever degenerates to inline speed.
-#   * perf_protocols --bitslice does the same for the bit-sliced execution
-#     path against BENCH_bitslice.json — its built-in checks (sliced
-#     bit-identical to scalar, >= 10x runs/sec on gmw_millionaires_16,
-#     deterministic sequential stop) fail the perf step itself if the
-#     64-runs-per-word path ever degenerates to scalar speed.
-#   * perf_protocols --zoo does the same for the protocol-zoo families
-#     (E21/E22: round-sampling 1/p exchange, escrowed penalty exchange)
-#     against BENCH_zoo.json — its built-in checks (1/p saturation, the
-#     deposit flip, the at_least_as_fair ordering) fail the perf step
-#     itself if a zoo protocol's fairness story breaks at bench scale.
-#   * scripts/loadtest.py replays the full fairbenchd request mix, writes
-#     BENCH_service.ci.json, and scripts/bench_diff.py prints the latency/
-#     throughput delta against the committed BENCH_service.json (50%
-#     threshold — service latency is the noisiest counter CI measures).
+#   * bench/perf_protocols checks the two GMW speedup ratios (online phase
+#     >= 3x inline on gmw_max_4party_8bit, bit-sliced >= 10x scalar on
+#     gmw_millionaires_16). Wall-clock ratios differ between CI machines,
+#     so a deviation is reported, never fatal;
 #   * perfbench/smoke.py runs every benchmark workload (BENCHMARK.json) at
 #     minimum size, untraced and traced, and checks each result's shape and
-#     metric names (non-gating; it builds into .bench_build/).
+#     metric names (it builds into .bench_build/). Tracked performance lives
+#     there, not in committed files: see perfbench/README.md.
 #
 # Usage: scripts/ci.sh [extra ctest -R regex]
 set -euo pipefail
@@ -87,48 +69,15 @@ if cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release >/dev/null 2>&1 &&
   # SIGTERM it, and require a clean drain (exit 0) with every request
   # answered — loadtest.py exits non-zero on any error event, missing
   # answer, or unclean shutdown. Small mix: this gates correctness of the
-  # service path, not its throughput (that is the non-gating diff below).
+  # service path, not its throughput (perfbench's daemon_mix measures that).
   python3 scripts/loadtest.py --daemon build-perf/fairbenchd \
       --requests 8 --connections 2 --runs 32
   echo "daemon smoke passed"
 
   ./build-perf/fairbench --filter smoke --runs 32 ||
     echo "experiment smoke deviation (non-gating; 32 runs is noisy)"
-  ./build-perf/bench/perf_protocols --profile --json BENCH_hotpath.ci.json 500 || true
-  if [[ -f BENCH_hotpath.json && -f BENCH_hotpath.ci.json ]]; then
-    python3 scripts/bench_diff.py --fail-above 35 \
-        BENCH_hotpath.json BENCH_hotpath.ci.json ||
-      echo "perf smoke regression (non-gating)"
-  fi
-  ./build-perf/bench/perf_protocols --preproc --json BENCH_preproc.ci.json 500 ||
-    echo "preproc speedup check failed (online phase slower than 3x inline)"
-  if [[ -f BENCH_preproc.json && -f BENCH_preproc.ci.json ]]; then
-    python3 scripts/bench_diff.py --fail-above 35 \
-        BENCH_preproc.json BENCH_preproc.ci.json ||
-      echo "preproc perf regression (non-gating)"
-  fi
-  ./build-perf/bench/perf_protocols --bitslice --json BENCH_bitslice.ci.json ||
-    echo "bitslice check failed (sliced != scalar, speedup < 10x, or stop drift)"
-  if [[ -f BENCH_bitslice.json && -f BENCH_bitslice.ci.json ]]; then
-    python3 scripts/bench_diff.py --fail-above 35 \
-        BENCH_bitslice.json BENCH_bitslice.ci.json ||
-      echo "bitslice perf regression (non-gating)"
-  fi
-  ./build-perf/bench/perf_protocols --zoo --json BENCH_zoo.ci.json ||
-    echo "zoo check failed (1/p saturation, deposit flip, or ordering broke)"
-  if [[ -f BENCH_zoo.json && -f BENCH_zoo.ci.json ]]; then
-    python3 scripts/bench_diff.py --fail-above 35 \
-        BENCH_zoo.json BENCH_zoo.ci.json ||
-      echo "zoo perf regression (non-gating)"
-  fi
-  python3 scripts/loadtest.py --daemon build-perf/fairbenchd \
-      --out BENCH_service.ci.json ||
-    echo "service loadtest failed (non-gating at full mix)"
-  if [[ -f BENCH_service.json && -f BENCH_service.ci.json ]]; then
-    python3 scripts/bench_diff.py --fail-above 50 \
-        BENCH_service.json BENCH_service.ci.json ||
-      echo "service latency regression (non-gating)"
-  fi
+  ./build-perf/bench/perf_protocols ||
+    echo "GMW speedup check deviated (non-gating: online < 3x inline or sliced < 10x scalar)"
 else
   echo "perf smoke skipped (Release build unavailable)"
 fi

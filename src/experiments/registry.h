@@ -11,7 +11,7 @@
 // experiments::setups.cpp (register_builtin_scenarios) from the scenario
 // translation units in src/experiments/scenarios/, and is consumed by
 //   * bench/fairbench — the single driver CLI (--list / --filter / --runs /
-//     --threads / --json / --baseline) replacing the 18 exp* binaries,
+//     --threads / --json) replacing the 18 exp* binaries,
 //   * rpd::estimate_utility / rpd::assess_protocol ScenarioSpec overloads,
 //     so tests and benches provably measure identical configurations,
 //   * tests/test_registry.cpp — per-scenario smoke, determinism, and JSON

@@ -25,8 +25,6 @@ Args parse_args(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
       a.filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      a.baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
       const long v = std::strtol(argv[++i], nullptr, 10);
       if (v > 0) a.lanes = static_cast<std::size_t>(v);
@@ -34,9 +32,9 @@ Args parse_args(int argc, char** argv) {
       const double v = std::strtod(argv[++i], nullptr);
       if (v > 0.0) a.target_ci = v;
     } else if (std::strcmp(argv[i], "--preproc") == 0) {
-      // Only a recognized mode word is consumed: perf_protocols uses a bare
-      // `--preproc` as its mode selector, so `--preproc --json x` must not
-      // eat `--json` as the mode.
+      // Only a recognized mode word is consumed, so a bare `--preproc`
+      // followed by another flag (`--preproc --json x`) never eats that
+      // flag as the mode; the bare flag is passed through and reported.
       if (i + 1 < argc && mpc::preproc::parse_preproc_mode(argv[i + 1])) {
         a.preproc = *mpc::preproc::parse_preproc_mode(argv[++i]);
       } else {
@@ -138,6 +136,14 @@ void Reporter::check(bool ok, const std::string& what) {
   if (!quiet_) std::printf("  [%s] %s\n", ok ? "PASS" : "DEVIATION", what.c_str());
   checks_.push_back(Check{ok, what});
   if (!ok) failures_++;
+}
+
+void Reporter::note(const char* fmt, ...) const {
+  if (quiet_) return;
+  va_list ap;
+  va_start(ap, fmt);
+  std::vprintf(fmt, ap);
+  va_end(ap);
 }
 
 int Reporter::finish() {

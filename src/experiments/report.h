@@ -1,23 +1,19 @@
 // Shared CLI parsing and reporting for every experiment driver: the single
-// `fairbench` scenario runner, the perf_* harnesses, and the test suite's
-// schema checks.
-//
-// Historically this lived in bench/bench_util.h and every exp* binary
-// re-parsed `[runs] [--json] [--threads]` by hand. The class keeps its
-// `fairsfe::bench` namespace (so scenario bodies and the perf harnesses read
-// unchanged) but now lives in the library, next to the scenario registry
-// that drives it.
+// `fairbench` scenario runner, fairbenchd, the perf_* binaries, and the test
+// suite's schema checks. It lives in the library, next to the scenario
+// registry that drives it, under the `fairsfe::bench` namespace.
 //
 // bench::Reporter renders the historical fixed-width table on stdout — for
 // each configuration the measured utility (with its 3-sigma margin), the
 // empirical event distribution, and the paper's closed-form bound, then a
 // PASS/DEVIATION verdict on the shape claim — and, when the harness is
 // invoked with `--json <path>`, additionally writes the same data
-// machine-readably so BENCH_*.json trajectories can be recorded.
+// machine-readably. Every line a scenario body prints goes through the
+// Reporter (row/check/note), so --quiet silences the whole table.
 //
 // CLI accepted by every harness (see bench::parse_args):
 //   fairbench [--list] [--filter <glob>] [runs] [--runs N] [--threads N]
-//             [--json out.json] [--baseline old.json] [--preproc <mode>]
+//             [--json out.json] [--preproc <mode>]
 //             [--lanes {1,64}] [--target-ci <halfwidth>]
 //             [--transport {inproc,tcp}] [--seed S] [--quiet]
 // where [runs] / --runs overrides the Monte-Carlo runs per point, --threads
@@ -55,7 +51,8 @@
 //                              "seconds": num}]}
 // and, when a transport other than inproc is active, a "transport" key
 // (string). Both sections are conditional so the schema — and every
-// historical BENCH_*.json — stays byte-stable under the defaults.
+// committed report (BENCH_fault.json, the perfbench pins) — stays
+// byte-stable under the defaults.
 #pragma once
 
 #include <cstdint>
@@ -76,17 +73,16 @@ namespace fairsfe::bench {
 
 /// The common experiment-harness CLI, parsed once. Flags every harness
 /// shares: positional [runs] (or --runs N), --threads N, --json <path>.
-/// Driver-level flags (--list, --filter, --baseline) are carried along for
-/// fairbench; anything unrecognized lands in `passthrough` so wrapper
-/// binaries (perf_*) can forward google-benchmark flags.
+/// Driver-level flags (--list, --filter) are carried along for fairbench;
+/// anything unrecognized lands in `passthrough`, which fairbench reports
+/// and perf_crypto forwards to google-benchmark.
 struct Args {
   std::size_t runs = 0;  ///< valid only when runs_set
   bool runs_set = false;
   std::size_t threads = 1;
   std::string json_path;
   bool list = false;
-  std::string filter;         ///< scenario glob for fairbench --filter
-  std::string baseline_path;  ///< fairbench --baseline, fed to bench_diff.py
+  std::string filter;  ///< scenario glob for fairbench --filter
   /// --preproc <mode>: correlated-randomness phase split for every scenario.
   mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
   /// --lanes {1,64}: execution lane width (rpd::EstimatorOptions::lanes).
@@ -182,6 +178,9 @@ class Reporter {
   void row(const std::string& name, const rpd::UtilityEstimate& est,
            const std::string& paper);
   void check(bool ok, const std::string& what);
+  /// printf-style free text of a scenario body (sub-tables, section headers,
+  /// interpretations). Not part of the JSON report; silent under --quiet.
+  void note(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
   /// Prints the verdict summary and, with --json, writes the report file.
   /// Always returns 0: deviations are recorded in the output, never break

@@ -39,8 +39,8 @@ void run(ScenarioContext& ctx) {
     rep.row("Pi2 / " + a.name, a.estimate, buf);
   }
 
-  std::printf("\nsup_A u(Pi1, A) = %.4f   sup_A u(Pi2, A) = %.4f\n\n", pi1.best_utility(),
-              pi2.best_utility());
+  rep.note("\nsup_A u(Pi1, A) = %.4f   sup_A u(Pi2, A) = %.4f\n\n", pi1.best_utility(),
+           pi2.best_utility());
 
   rep.check(std::abs(pi1.best_utility() - gamma.g10) < 0.02,
             "Pi1 best attack reaches g10 (full unfairness)");

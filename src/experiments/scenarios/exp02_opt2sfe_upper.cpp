@@ -39,8 +39,8 @@ void run(ScenarioContext& ctx) {
 
   std::uint64_t seed = ctx.spec.base_seed;
   for (const auto& [gname, gamma] : gammas) {
-    std::printf("--- gamma class: %s, bound (g10+g11)/2 = %.3f ---\n", gname.c_str(),
-                ctx.spec.bound(gamma, 0.0));
+    rep.note("--- gamma class: %s, bound (g10+g11)/2 = %.3f ---\n", gname.c_str(),
+             ctx.spec.bound(gamma, 0.0));
     rep.gamma(gamma);
     rep.row_header();
     double best = -1e9;
@@ -53,7 +53,7 @@ void run(ScenarioContext& ctx) {
       rep.check(est.utility <= ctx.spec.bound(gamma, 0.0) + est.margin() + 0.02,
                 a.name + " respects the Theorem 3 bound");
     }
-    std::printf("\n");
+    rep.note("\n");
   }
 }
 

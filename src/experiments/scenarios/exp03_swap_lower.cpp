@@ -38,7 +38,7 @@ void run(ScenarioContext& ctx) {
 
   std::uint64_t seed = ctx.spec.base_seed;
   for (const auto& proto : protocols) {
-    std::printf("--- protocol: %s ---\n", proto.name.c_str());
+    rep.note("--- protocol: %s ---\n", proto.name.c_str());
     rep.row_header();
     const auto a1 = rpd::estimate_utility(proto.lock_abort(0), gamma, rep.opts(seed++));
     const auto a2 = rpd::estimate_utility(proto.lock_abort(1), gamma, rep.opts(seed++));
@@ -48,7 +48,7 @@ void run(ScenarioContext& ctx) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "u(A1)+u(A2) = %.4f  (Lemma 7 floor %.3f)", pair_sum,
                   gamma.g10 + gamma.g11);
-    std::printf("%s\n", buf);
+    rep.note("%s\n", buf);
     rep.check(pair_sum >= gamma.g10 + gamma.g11 - a1.margin() - a2.margin() - 0.03,
               proto.name + ": Lemma 7 pair bound holds");
     if (proto.agen) {
@@ -57,11 +57,11 @@ void run(ScenarioContext& ctx) {
       rep.check(agen.utility >= gamma.two_party_opt_bound() - agen.margin() - 0.03,
                 proto.name + ": Theorem 4 mixed bound holds");
     }
-    std::printf("\n");
+    rep.note("\n");
   }
 
-  std::printf("Interpretation: no two-party protocol evades (g10+g11)/2; the optimal\n"
-              "protocol achieves it exactly, the naive Pi1 does strictly worse.\n");
+  rep.note("Interpretation: no two-party protocol evades (g10+g11)/2; the optimal\n"
+           "protocol achieves it exactly, the naive Pi1 does strictly worse.\n");
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ void run(ScenarioContext& ctx) {
               std::to_string(c + 1) + ")");
   }
 
-  std::printf("\nHonest-run round counts (engine rounds, incl. 2 hybrid rounds):\n");
+  rep.note("\nHonest-run round counts (engine rounds, incl. 2 hybrid rounds):\n");
   {
     Rng rng(99);  // LINT-ALLOW(rng-fork-discipline): fixed demo seed at the scenario boundary; table output is golden
     const mpc::SfeSpec spec = two_party_spec();
@@ -151,7 +151,7 @@ void run(ScenarioContext& ctx) {
     sim::Engine e(std::move(parties), std::make_unique<fair::Opt2ShareFunc>(spec), nullptr,
                   rng.fork("engine"));
     const auto r = e.run();
-    std::printf("  Opt2SFE honest execution: %d rounds (phase 2 = 2 rounds)\n\n", r.rounds);
+    rep.note("  Opt2SFE honest execution: %d rounds (phase 2 = 2 rounds)\n\n", r.rounds);
   }
 }
 

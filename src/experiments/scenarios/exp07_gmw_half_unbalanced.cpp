@@ -24,7 +24,7 @@ void run(ScenarioContext& ctx) {
   std::uint64_t seed = ctx.spec.base_seed;
 
   for (const std::size_t n : {4u, 5u, 6u, 7u, 8u}) {
-    std::printf("--- n = %zu (threshold %zu) ---\n", n, fair::half_gmw_threshold(n));
+    rep.note("--- n = %zu (threshold %zu) ---\n", n, fair::half_gmw_threshold(n));
     rep.row_header();
     double sum = 0.0;
     double sum_margin = 0.0;
@@ -44,8 +44,8 @@ void run(ScenarioContext& ctx) {
       sum_margin += est.margin();
     }
     const double bound = gamma.balance_bound(n);
-    std::printf("sum = %.4f   balanced bound = %.4f   -> %s\n\n", sum, bound,
-                sum <= bound + sum_margin ? "balanced" : "NOT balanced");
+    rep.note("sum = %.4f   balanced bound = %.4f   -> %s\n\n", sum, bound,
+             sum <= bound + sum_margin ? "balanced" : "NOT balanced");
     if (n % 2 == 0) {
       rep.check(sum > bound + 0.1,
                 "n=" + std::to_string(n) + " (even): sum exceeds the balanced bound");

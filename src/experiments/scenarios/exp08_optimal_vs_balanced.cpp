@@ -29,7 +29,7 @@ void run(ScenarioContext& ctx) {
   // ---------------- Π′ with odd n: balanced but not optimal ----------------
   {
     const std::size_t n = 5;
-    std::printf("--- Pi' (mixed protocol), n = %zu (odd => Pi-1/2-GMW branch) ---\n", n);
+    rep.note("--- Pi' (mixed protocol), n = %zu (odd => Pi-1/2-GMW branch) ---\n", n);
     rep.row_header();
     const auto coalition = rpd::estimate_utility(mixed_best_attack(n, (n + 1) / 2), gamma, rep.opts(801));
     char buf[80];
@@ -43,8 +43,8 @@ void run(ScenarioContext& ctx) {
         n,
         [n](std::size_t t) { return nparty_attack_family(NPartyProtocol::kMixed, n, t); },
         gamma, rep.opts(810));
-    std::printf("per-t sum = %.4f, balanced bound = %.4f\n\n", profile.sum(),
-                gamma.balance_bound(n));
+    rep.note("per-t sum = %.4f, balanced bound = %.4f\n\n", profile.sum(),
+             gamma.balance_bound(n));
     rep.check(rpd::is_utility_balanced(profile, gamma),
               "Pi' (odd n) remains utility-balanced");
   }
@@ -52,7 +52,7 @@ void run(ScenarioContext& ctx) {
   // ------------- Lemma 18 protocol: optimal but not balanced -------------
   {
     const std::size_t n = 4;
-    std::printf("--- Lemma 18 protocol, n = %zu ---\n", n);
+    rep.note("--- Lemma 18 protocol, n = %zu ---\n", n);
     rep.row_header();
     const auto big = rpd::estimate_utility(lemma18_lock_abort(n, n - 1), gamma, rep.opts(820));
     char buf[80];
@@ -74,8 +74,8 @@ void run(ScenarioContext& ctx) {
         n,
         [n](std::size_t t) { return nparty_attack_family(NPartyProtocol::kLemma18, n, t); },
         gamma, rep.opts(840));
-    std::printf("per-t sum = %.4f, balanced bound = %.4f\n\n", profile.sum(),
-                gamma.balance_bound(n));
+    rep.note("per-t sum = %.4f, balanced bound = %.4f\n\n", profile.sum(),
+             gamma.balance_bound(n));
     rep.check(!rpd::is_utility_balanced(profile, gamma),
               "Lemma 18 protocol is NOT utility-balanced");
   }

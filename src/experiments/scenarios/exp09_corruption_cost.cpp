@@ -43,11 +43,11 @@ void run(ScenarioContext& ctx) {
   const auto c_opt = rpd::cost_from_profile(opt_profile, gamma);
   const auto c_gmw = rpd::cost_from_profile(gmw_profile, gamma);
 
-  std::printf("%-4s %12s %12s %12s %12s %12s\n", "t", "s(t) dummy", "phi_opt(t)",
-              "c_opt(t)", "phi_gmw(t)", "c_gmw(t)");
+  rep.note("%-4s %12s %12s %12s %12s %12s\n", "t", "s(t) dummy", "phi_opt(t)",
+           "c_opt(t)", "phi_gmw(t)", "c_gmw(t)");
   for (std::size_t t = 1; t < n; ++t) {
-    std::printf("%-4zu %12.4f %12.4f %12.4f %12.4f %12.4f\n", t, dummy_profile.phi(t),
-                opt_profile.phi(t), c_opt.of(t), gmw_profile.phi(t), c_gmw.of(t));
+    rep.note("%-4zu %12.4f %12.4f %12.4f %12.4f %12.4f\n", t, dummy_profile.phi(t),
+             opt_profile.phi(t), c_opt.of(t), gmw_profile.phi(t), c_gmw.of(t));
     // Measured s(t) should equal the analytic ideal benchmark.
     rep.check(std::abs(dummy_profile.phi(t) - rpd::ideal_payoff(gamma, t, n)) < 0.03,
               "s(" + std::to_string(t) + ") matches max(g00, g11)");
@@ -57,9 +57,9 @@ void run(ScenarioContext& ctx) {
               "net utility at t=" + std::to_string(t) + " meets the ideal benchmark");
   }
 
-  std::printf("\ncost sums: opt = %.4f, gmw-half = %.4f (balanced sum is minimal)\n",
-              [&] { double s = 0; for (std::size_t t = 1; t < n; ++t) s += c_opt.of(t); return s; }(),
-              [&] { double s = 0; for (std::size_t t = 1; t < n; ++t) s += c_gmw.of(t); return s; }());
+  rep.note("\ncost sums: opt = %.4f, gmw-half = %.4f (balanced sum is minimal)\n",
+           [&] { double s = 0; for (std::size_t t = 1; t < n; ++t) s += c_opt.of(t); return s; }(),
+           [&] { double s = 0; for (std::size_t t = 1; t < n; ++t) s += c_gmw.of(t); return s; }());
 
   // Theorem 6(2): neither cost function strictly dominates the other, and the
   // balanced protocol's cost sum is no larger.

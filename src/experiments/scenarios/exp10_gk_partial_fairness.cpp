@@ -23,11 +23,11 @@ void run(ScenarioContext& ctx) {
   rep.gamma(gamma);
 
   std::uint64_t seed = ctx.spec.base_seed;
-  std::printf("--- poly-size DOMAIN protocol (AND, |Y| = 2), Theorem 23 ---\n");
+  rep.note("--- poly-size DOMAIN protocol (AND, |Y| = 2), Theorem 23 ---\n");
   for (const std::size_t p : {2u, 3u, 4u, 6u, 8u}) {
     const fair::GkParams params = fair::make_gk_and_params(p);
-    std::printf("p = %zu  (round cap %zu, alpha = %.4f)\n", p, params.cap(),
-                params.alpha());
+    rep.note("p = %zu  (round cap %zu, alpha = %.4f)\n", p, params.cap(),
+             params.alpha());
     rep.row_header();
     double best = 0.0;
     for (const auto& attack : gk_attack_family(params)) {
@@ -39,16 +39,16 @@ void run(ScenarioContext& ctx) {
       rep.check(est.utility <= 1.0 / static_cast<double>(p) + est.margin() + 0.02,
                 "p=" + std::to_string(p) + " " + attack.name + " <= 1/p");
     }
-    std::printf("best attack: %.4f vs bound %.4f\n\n", best, 1.0 / static_cast<double>(p));
+    rep.note("best attack: %.4f vs bound %.4f\n\n", best, 1.0 / static_cast<double>(p));
   }
 
-  std::printf("--- poly-size RANGE protocol (AND output, |Z| = 2), Theorem 24 ---\n");
+  rep.note("--- poly-size RANGE protocol (AND output, |Z| = 2), Theorem 24 ---\n");
   for (const std::size_t p : {2u, 3u, 4u}) {
     fair::GkParams params = fair::make_gk_and_params(p);
     params.variant = fair::GkParams::Variant::kPolyRange;
     params.sample_range = [](Rng& r) { return Bytes{static_cast<std::uint8_t>(r.bit())}; };
-    std::printf("p = %zu  (round cap %zu, alpha = %.5f)\n", p, params.cap(),
-                params.alpha());
+    rep.note("p = %zu  (round cap %zu, alpha = %.5f)\n", p, params.cap(),
+             params.alpha());
     rep.row_header();
     for (const auto& attack : gk_attack_family(params)) {
       const auto est = rpd::estimate_utility(attack.factory, gamma, rep.opts(seed++).with_runs(runs / 2));
@@ -58,12 +58,12 @@ void run(ScenarioContext& ctx) {
       rep.check(est.utility <= 1.0 / static_cast<double>(p) + est.margin() + 0.02,
                 "range p=" + std::to_string(p) + " " + attack.name + " <= 1/p");
     }
-    std::printf("\n");
+    rep.note("\n");
   }
 
-  std::printf("Contrast: Theorem 3's general-function optimum is (g10+g11)/2 = 0.5\n"
-              "under this gamma — the GK protocols beat it for p > 2 precisely\n"
-              "because their functions have polynomial-size domains/ranges.\n");
+  rep.note("Contrast: Theorem 3's general-function optimum is (g10+g11)/2 = 0.5\n"
+           "under this gamma — the GK protocols beat it for p > 2 precisely\n"
+           "because their functions have polynomial-size domains/ranges.\n");
 }
 
 }  // namespace

@@ -56,13 +56,13 @@ void run(ScenarioContext& ctx) {
   const double leak_rate = static_cast<double>(leaks) / static_cast<double>(runs);
   const double correct_rate =
       leaks == 0 ? 0.0 : static_cast<double>(leaks_correct) / static_cast<double>(leaks);
-  std::printf("runs = %zu\n", runs);
-  std::printf("  leak rate (deviating p2 receives x1):        %.4f   paper: 1/4\n",
-              leak_rate);
-  std::printf("  leaked value equals the true x1:             %.4f   paper: 1\n",
-              correct_rate);
-  std::printf("  honest p1 still computes x1 AND x2 correctly: %.4f\n\n",
-              static_cast<double>(output_ok) / static_cast<double>(runs));
+  rep.note("runs = %zu\n", runs);
+  rep.note("  leak rate (deviating p2 receives x1):        %.4f   paper: 1/4\n",
+           leak_rate);
+  rep.note("  leaked value equals the true x1:             %.4f   paper: 1\n",
+           correct_rate);
+  rep.note("  honest p1 still computes x1 AND x2 correctly: %.4f\n\n",
+           static_cast<double>(output_ok) / static_cast<double>(runs));
   rep.check(std::abs(leak_rate - 0.25) < 0.03, "leak probability is 1/4 (Lemma 26)");
   rep.check(correct_rate == 1.0, "every leak is the true honest input");
 
@@ -70,7 +70,7 @@ void run(ScenarioContext& ctx) {
   //    p = 4 stage keeps the unfair-abort payoff under 1/2 for all attacks.
   const rpd::PayoffVector pf = rpd::PayoffVector::partial_fairness();
   const fair::GkParams params = fair::make_gk_and_params(4);
-  std::printf("embedded 1/4-secure stage under gamma = (0,0,1,0):\n");
+  rep.note("embedded 1/4-secure stage under gamma = (0,0,1,0):\n");
   rep.row_header();
   std::uint64_t seed = 43000;
   for (const auto& attack : gk_attack_family(params)) {
@@ -84,18 +84,18 @@ void run(ScenarioContext& ctx) {
   //    ideal-world simulator's "leak" is independent of x1 (prob <= 1/2).
   const double real_match = leak_rate * correct_rate;
   const double ideal_match_best = leak_rate * 0.5;
-  std::printf("\nLemma 26 environments: Pr[leak AND matches x1]\n");
-  std::printf("  real world:                %.4f\n", real_match);
-  std::printf("  best F^{f,$} simulator:    %.4f (leak independent of x1)\n",
-              ideal_match_best);
-  std::printf("  distinguishing advantage:  %.4f  (constant >= 1/8)\n\n",
-              real_match - ideal_match_best);
+  rep.note("\nLemma 26 environments: Pr[leak AND matches x1]\n");
+  rep.note("  real world:                %.4f\n", real_match);
+  rep.note("  best F^{f,$} simulator:    %.4f (leak independent of x1)\n",
+           ideal_match_best);
+  rep.note("  distinguishing advantage:  %.4f  (constant >= 1/8)\n\n",
+           real_match - ideal_match_best);
   rep.check(real_match - ideal_match_best > 0.09,
             "constant distinguishing gap vs any F^{f,$} simulator");
 
-  std::printf("Conclusion: Pi-tilde passes 1/p-security + privacy as defined in\n"
-              "[GK10] but fails the paper's utility-based notion — the notions are\n"
-              "separated, and the utility-based one is strictly stronger (Lemma 25).\n");
+  rep.note("Conclusion: Pi-tilde passes 1/p-security + privacy as defined in\n"
+           "[GK10] but fails the paper's utility-based notion — the notions are\n"
+           "separated, and the utility-based one is strictly stronger (Lemma 25).\n");
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ void run(ScenarioContext& ctx) {
 
   // The capstone: the *fair* protocol itself, hybrid vs fully compiled
   // (phase 1 = Yao garbled circuit on the f' extension, phase 2 unchanged).
-  std::printf("\n--- full stack: Opt2SFE hybrid vs Opt2SFE-over-Yao ---\n\n");
+  rep.note("\n--- full stack: Opt2SFE hybrid vs Opt2SFE-over-Yao ---\n\n");
   rep.row_header();
   auto base = std::make_shared<const circuit::Circuit>(circuit::make_concat_circuit(2, 8));
   auto plan = fair::Opt2CompiledPlan::build(base);
@@ -201,10 +201,10 @@ void run(ScenarioContext& ctx) {
               "Opt2SFE fairness survives compilation (" + who + ")");
   }
 
-  std::printf("\nNote: the fair protocols in src/fair are stated in these hybrid\n"
-              "models; by this composition property their measured fairness carries\n"
-              "over verbatim when the hybrid is instantiated with the GMW or Yao\n"
-              "substrate — demonstrated above for the complete Opt2SFE stack.\n");
+  rep.note("\nNote: the fair protocols in src/fair are stated in these hybrid\n"
+           "models; by this composition property their measured fairness carries\n"
+           "over verbatim when the hybrid is instantiated with the GMW or Yao\n"
+           "substrate — demonstrated above for the complete Opt2SFE stack.\n");
 }
 
 }  // namespace

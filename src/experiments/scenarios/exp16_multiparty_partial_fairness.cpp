@@ -26,8 +26,8 @@ void run(ScenarioContext& ctx) {
   for (const std::size_t n : {3u, 4u, 5u}) {
     for (const std::size_t p : {2u, 4u}) {
       const fair::GkMultiParams params = fair::make_gk_multi_and_params(n, p);
-      std::printf("--- n = %zu, p = %zu (cap %zu rounds, alpha %.4f) ---\n", n, p,
-                  params.cap(), params.alpha());
+      rep.note("--- n = %zu, p = %zu (cap %zu rounds, alpha %.4f) ---\n", n, p,
+               params.cap(), params.alpha());
       rep.row_header();
       for (std::size_t t = 1; t < n; ++t) {
         double best = 0.0;
@@ -48,13 +48,13 @@ void run(ScenarioContext& ctx) {
         std::snprintf(buf, sizeof(buf), "<= 1/p = %.4f", 1.0 / static_cast<double>(p));
         rep.row("t=" + std::to_string(t) + " best: " + best_name, best_est, buf);
       }
-      std::printf("\n");
+      rep.note("\n");
     }
   }
 
-  std::printf("Shape: unlike the all-or-nothing Pi-1/2-GMW staircase (E07), partial\n"
-              "fairness degrades with p, not with t — the multi-party extension\n"
-              "keeps the 1/p guarantee even against n-1 colluding parties.\n");
+  rep.note("Shape: unlike the all-or-nothing Pi-1/2-GMW staircase (E07), partial\n"
+           "fairness degrades with p, not with t — the multi-party extension\n"
+           "keeps the 1/p guarantee even against n-1 colluding parties.\n");
 }
 
 }  // namespace

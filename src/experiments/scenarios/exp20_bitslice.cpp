@@ -147,12 +147,12 @@ void run(ScenarioContext& ctx) {
                   stop.runs == stop2.runs && stop.stopped_early == stop2.stopped_early,
               "stop point and estimate invariant under the thread count");
     if (stop.stopped_early) {
-      std::printf("  stopped after %zu of %zu runs (ci_halfwidth %.5f <= %.5f)\n",
-                  stop.runs, stop.requested_runs, stop.ci_halfwidth(), target_ci);
+      rep.note("  stopped after %zu of %zu runs (ci_halfwidth %.5f <= %.5f)\n",
+               stop.runs, stop.requested_runs, stop.ci_halfwidth(), target_ci);
     }
   }
 
-  std::printf(
+  rep.note(
       "\nNote: lane l of every wire word carries run l's bit, so one word op\n"
       "advances 64 executions; per-run rng streams are forked exactly as the\n"
       "scalar engine forks them, which is why agreement is exact. See\n"

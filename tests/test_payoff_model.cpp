@@ -11,7 +11,8 @@
 //   3. CollateralModel's score arithmetic matches the penalty-model story:
 //      event payoff, minus deposit+penalty on a proven withhold, minus the
 //      unrefunded fraction otherwise; no deposit posted degenerates to
-//      VectorModel exactly.
+//      VectorModel exactly; with a full deposit the escrowed exchange is at
+//      least as fair as the bare withhold game (the E22 zoo ordering).
 //   4. Γfair / Γ+fair membership is answerable through the model API (the
 //      paper's Section 3 class constraints survive the generalization).
 //
@@ -30,6 +31,7 @@
 #include "mpc/gmw_sliced.h"
 #include "mpc/preproc/provider.h"
 #include "rpd/estimator.h"
+#include "rpd/fairness_relation.h"
 #include "rpd/payoff_model.h"
 #include "util/bitmat.h"
 
@@ -175,6 +177,27 @@ TEST(PayoffModelCollateral, FullRefundNoDepositIsVectorModelExactly) {
       }
     }
   }
+}
+
+TEST(PayoffModelCollateral, EscrowedExchangeAtLeastAsFairAsBareWithhold) {
+  // The E22 ordering claim: pricing the withhold with a deposit d = 1 makes
+  // honest the best response (g11 = 0.5 > g10 - d = 0), while the bare game
+  // lets the withholder keep g10 = 1. The escrowed exchange is therefore at
+  // least as fair as the bare one, and strictly so.
+  const VectorModel bare_model(rpd::payoff::standard());
+  CollateralTerms unit;
+  unit.deposit = 1.0;
+  const CollateralModel escrowed_model(rpd::payoff::standard(), unit);
+  const auto bare =
+      rpd::assess_protocol(experiments::penalty_attack_family(), bare_model,
+                           opts_with(512, 142, 1));
+  const auto escrowed =
+      rpd::assess_protocol(experiments::penalty_attack_family(), escrowed_model,
+                           opts_with(512, 242, 1));
+  EXPECT_EQ(bare.best_attack_name(), "withhold-claim");
+  EXPECT_EQ(escrowed.best_attack_name(), "honest");
+  EXPECT_TRUE(rpd::at_least_as_fair(escrowed, bare));
+  EXPECT_FALSE(rpd::at_least_as_fair(bare, escrowed));
 }
 
 // --------------------------------------------------- Γ class membership

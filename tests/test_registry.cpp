@@ -3,17 +3,20 @@
 // attack families, smoke tags), (b) the --filter matching semantics the
 // fairbench driver exposes, (c) that every registered scenario estimates
 // through the rpd::ScenarioSpec overloads without error and bit-identically
-// across thread counts, and (d) that the Reporter's JSON rows conform to the
-// schema documented in experiments/report.h (what bench_diff.py consumes).
+// across thread counts, (d) that the Reporter's JSON rows conform to the
+// schema documented in experiments/report.h, and (e) that --quiet silences
+// every scenario body (fairbenchd workers share one stdout).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "experiments/registry.h"
 #include "experiments/report.h"
+#include "service/runner.h"
 
 namespace fairsfe::experiments {
 namespace {
@@ -184,7 +187,7 @@ bool balanced(const std::string& json) {
 TEST(Registry, ReporterJsonObjectMatchesTheDocumentedSchema) {
   // One 8-run row per scenario, rendered through the Reporter fairbench
   // uses; each object must carry every schema key from report.h and be
-  // structurally balanced (what scripts/bench_diff.py parses).
+  // structurally balanced.
   for (const auto* s : Registry::instance().all()) {
     bench::Args args;
     args.runs = 8;
@@ -206,9 +209,24 @@ TEST(Registry, ReporterJsonObjectMatchesTheDocumentedSchema) {
       EXPECT_NE(json.find(key), std::string::npos) << s->id << " missing " << key;
     }
     // The experiment field carries the spec title (what the old binaries
-    // recorded), so BENCH_*.json baselines keep matching.
+    // recorded), so committed reports such as BENCH_fault.json keep matching.
     EXPECT_EQ(json.find("\"experiment\": \"" + s->title.substr(0, 10)), 4u)
         << s->id << ": experiment field must carry the scenario title";
+  }
+}
+
+TEST(Registry, QuietScenariosPrintNothing) {
+  // Scenario bodies print their free text through Reporter::note, so a
+  // quiet run of every registered scenario leaves stdout empty.
+  bench::Args args;
+  args.quiet = true;
+  args.runs = 16;
+  args.runs_set = true;
+  for (const auto* s : Registry::instance().all()) {
+    testing::internal::CaptureStdout();
+    (void)service::run_scenario(*s, args);
+    std::fflush(stdout);
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << s->id;
   }
 }
 
