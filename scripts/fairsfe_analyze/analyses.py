@@ -1,4 +1,4 @@
-"""Global analyses over merged per-TU facts.
+"""Global analyses over merged per-TU facts, and the one rule table.
 
 Three analyses, each a pure function from a list of TU facts dicts
 (tu.extract_facts output) to findings:
@@ -12,16 +12,22 @@ Three analyses, each a pure function from a list of TU facts dicts
   schema      message-schema conformance: kinds encoded but never decoded
               (and vice versa), plus the Frame⊇Message field cross-check.
 
+run_all adds the line rules (line_rules.py): their per-TU findings come with
+the facts, unordered-iteration is joined across includes here.
+
 A finding is {"rule", "path", "line", "col", "message"}. LINT-ALLOW
 filtering and unused-allow detection live in driver.py so both text and
 SARIF output see the same post-suppression stream.
 """
 
+import line_rules
+from line_rules import PROTOCOL_DIRS, under
+
 # Layer scopes (relpath prefixes). The lineage draw-after-fork rule and the
 # taint rules only fire in the layers whose determinism/secrecy contracts the
-# estimates rest on; fixtures are mapped under src/ by the self-test harness.
-PROTOCOL_DIRS = ("src/sim/", "src/mpc/", "src/fair/", "src/adversary/")
-TAINT_DIRS = ("src/",)
+# estimates rest on (PROTOCOL_DIRS, shared with the line rules); fixtures are
+# mapped under src/ by the self-test harness.
+TAINT_DIRS = ("src",)
 
 # Hand-maintained kind aliases: encode_frame's body is split from
 # decode_frame_body in src/net/wire.*, but both speak the same frame schema.
@@ -31,6 +37,7 @@ KIND_ALIASES = {"frame_body": "frame"}
 # helper get an `// ANALYZE-HANDLES(kind)` annotation at the parse site; the
 # annotation is the structured equivalent of a decode call.
 
+# (name, description, scope): the single table behind --list-rules and SARIF.
 RULES = [
     ("rng-label-collision",
      "two fork sites derive the same (parent, label[, index]) stream",
@@ -62,6 +69,13 @@ RULES = [
     ("unused-declassify",
      "DECLASSIFY marker on a line with no tainted sink",
      "src"),
+] + [(r.name, r.message, line_rules.scope(r)) for r in line_rules.RULES] + [
+    ("unused-allow",
+     "LINT-ALLOW that suppresses nothing or names an unknown rule",
+     "everywhere"),
+    ("allow-missing-reason",
+     "LINT-ALLOW without a reason",
+     "everywhere"),
 ]
 RULE_NAMES = {r[0] for r in RULES}
 
@@ -69,10 +83,6 @@ RULE_NAMES = {r[0] for r in RULES}
 def _finding(rule, path, line, col, message):
     return {"rule": rule, "path": path, "line": line, "col": col,
             "message": message}
-
-
-def _in_dirs(path, dirs):
-    return any(path.startswith(d) for d in dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +189,7 @@ def analyze_lineage(facts_list):
             # Draws from a parent after a child fork (protocol layers): the
             # parent's draw stream and its children interleave, so reordering
             # the fork silently reshuffles every downstream sample.
-            if not _in_dirs(path, PROTOCOL_DIRS):
+            if not under(path, PROTOCOL_DIRS):
                 continue
             first_fork = {}
             for fk in fn["forks"]:
@@ -224,7 +234,7 @@ def analyze_taint(facts_list):
     types, funcs, members = _collect_sources(facts_list)
     for facts in facts_list:
         path = facts["relpath"]
-        if not _in_dirs(path, TAINT_DIRS):
+        if not under(path, TAINT_DIRS):
             continue
         declassified = {d["target"]: d for d in facts["declassify"]}
         declassify_used = set()
@@ -373,7 +383,8 @@ def analyze_schema(facts_list):
 
 
 def run_all(facts_list):
-    findings = []
+    findings = [f for facts in facts_list for f in facts["findings"]]
+    findings.extend(line_rules.unordered_iteration(facts_list))
     findings.extend(analyze_lineage(facts_list))
     findings.extend(analyze_taint(facts_list))
     findings.extend(analyze_schema(facts_list))

@@ -5,11 +5,12 @@ Pipeline per run:
   1. collect the TU set — translation units named by compile_commands.json
      (when given) plus every header under the scan roots, so facts from
      header-only types (Frame, Message, AuthShare2) participate;
-  2. extract per-TU facts, served from the content-hash cache when the file
-     is unchanged, farmed out to a process pool otherwise;
-  3. run the three global analyses (analyses.py) over the merged facts;
-  4. apply LINT-ALLOW suppressions (analyzer rules only — fairsfe-lint owns
-     its own), emit unused-allow / allow-missing-reason findings;
+  2. extract per-TU facts (line-rule findings included), served from the
+     content-hash cache when the file is unchanged, farmed out to a process
+     pool otherwise;
+  3. run the global analyses (analyses.py) over the merged facts;
+  4. apply LINT-ALLOW suppressions for every rule, emit unused-allow /
+     allow-missing-reason findings;
   5. render text / json / sarif.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment errors.
@@ -32,7 +33,7 @@ from cache import FactsCache, key_for  # noqa: E402
 
 CPP_EXTENSIONS = (".h", ".hh", ".hpp", ".cc", ".cpp", ".cxx")
 SCAN_ROOTS = ("src", "bench", "examples", "tests")
-FIXTURE_SUBDIR = os.path.join("scripts", "lint_fixtures", "analyze")
+FIXTURE_SUBDIR = os.path.join("scripts", "lint_fixtures")
 
 
 def collect_files(root, compile_commands):
@@ -105,39 +106,43 @@ def extract_all(root, rels, cache, jobs):
 
 
 def apply_allows(findings, facts_list):
-    """Suppress findings covered by LINT-ALLOW(analyzer-rule): reason, then
-    report unused/naked allows. Lint-rule allows are left to fairsfe-lint."""
-    allow_map = {}  # (path, line, rule) -> entry {used, reason, line}
+    """Suppress findings covered by a reasoned LINT-ALLOW(rule), then report
+    allows that name an unknown rule, carry no reason, or suppress nothing."""
+    allow_map = {}  # (path, target line, rule) -> [entry]
     entries = []
     for facts in facts_list:
         path = facts["relpath"]
         for target, lst in facts["allows"].items():
-            for rule, reason, lineno in lst:
-                if rule not in analyses.RULE_NAMES:
-                    continue
+            for rule, reason, lineno, col in lst:
                 e = {"path": path, "target": int(target), "rule": rule,
-                     "reason": reason, "line": lineno, "used": False}
-                allow_map[(path, int(target), rule)] = e
+                     "reason": reason, "line": lineno, "col": col,
+                     "used": False}
+                allow_map.setdefault((path, e["target"], rule), []).append(e)
                 entries.append(e)
     kept = []
     for f in findings:
-        e = allow_map.get((f["path"], f["line"], f["rule"]))
-        if e is not None and e["reason"]:
+        covering = [e for e in allow_map.get((f["path"], f["line"], f["rule"]),
+                                             ()) if e["reason"]]
+        for e in covering:
             e["used"] = True
-            continue
-        kept.append(f)
+        if not covering:
+            kept.append(f)
     for e in entries:
-        if not e["reason"]:
-            kept.append({"rule": "allow-missing-reason", "path": e["path"],
-                         "line": e["line"], "col": 1,
-                         "message": "LINT-ALLOW(%s) must carry a reason "
-                                    "after the colon" % e["rule"]})
+        if e["rule"] not in analyses.RULE_NAMES:
+            rule, msg = ("unused-allow",
+                         "LINT-ALLOW names unknown rule `%s`" % e["rule"])
+        elif not e["reason"]:
+            rule, msg = ("allow-missing-reason",
+                         "LINT-ALLOW(%s) must carry a reason after the colon"
+                         % e["rule"])
         elif not e["used"]:
-            kept.append({"rule": "unused-allow", "path": e["path"],
-                         "line": e["line"], "col": 1,
-                         "message": "LINT-ALLOW(%s) suppresses nothing on "
-                                    "line %d — remove it"
-                                    % (e["rule"], e["target"])})
+            rule, msg = ("unused-allow",
+                         "LINT-ALLOW(%s) suppresses nothing on line %d — "
+                         "remove it" % (e["rule"], e["target"]))
+        else:
+            continue
+        kept.append({"rule": rule, "path": e["path"], "line": e["line"],
+                     "col": e["col"], "message": msg})
     kept.sort(key=lambda f: (f["path"], f["line"], f["col"], f["rule"]))
     return kept
 
@@ -182,9 +187,9 @@ def changed_files(root):
 # ---------------------------------------------------------------------------
 
 def run_self_test(root):
-    """Each immediate subdirectory of scripts/lint_fixtures/analyze/ is one
-    analysis universe; file paths inside it are mapped under src/ so layer
-    scoping applies (analyze/loop_fork/mpc/a.cc analyzes as src/mpc/a.cc).
+    """Each immediate subdirectory of scripts/lint_fixtures/ is one analysis
+    universe; file paths inside it are mapped under src/ so layer scoping
+    applies (lint_fixtures/loop_fork/mpc/a.cc analyzes as src/mpc/a.cc).
     Findings must equal the EXPECT(rule) markers exactly."""
     import re
     expect_re = re.compile(r"EXPECT\((?P<rule>[a-z-]+)\)")
@@ -271,7 +276,7 @@ def main(argv=None):
                     help="report findings only for files changed vs. the "
                          "merge-base (facts still come from the whole tree)")
     ap.add_argument("--self-test", action="store_true",
-                    help="run the analyze fixture corpus")
+                    help="run the fixture corpus under scripts/lint_fixtures/")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("files", nargs="*",
                     help="report findings only for these files")

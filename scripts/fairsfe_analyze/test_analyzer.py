@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for the fairsfe-analyze foundations: the C++ tokenizer and the
-cross-TU fork-label graph. Pure Python — wired as a tier1 ctest that runs
-without a compiler (see tests/CMakeLists.txt).
+"""Unit tests for the fairsfe-analyze foundations: the C++ tokenizer, its
+code-only line view, and the cross-TU fork-label graph. Pure Python — wired
+as a tier1 ctest that runs without a compiler (see tests/CMakeLists.txt).
 
 Run directly:  python3 scripts/fairsfe_analyze/test_analyzer.py
 """
@@ -93,6 +93,25 @@ class TokenizerTest(unittest.TestCase):
         toks = tokenizer.tokenize("ab\n  cd")
         self.assertEqual((toks[0].line, toks[0].col), (1, 1))
         self.assertEqual((toks[1].line, toks[1].col), (2, 3))
+
+    def test_code_lines_blank_comments_literals_and_directives(self):
+        # The raw string's lone `"` must not swallow the rest of its line.
+        src = ('int a = f("x // y");  // rand()\n'
+               'auto r = R"(odd " quote)"; /* time() */ int b;\n'
+               '#include <cassert>\n'
+               "char c = '\\\"'; g();")
+        lines = tokenizer.code_lines(tokenizer.tokenize(src), src)
+        self.assertEqual(lines, [
+            "int a = f(        );",
+            "auto r =                 ;              int b;",
+            "",
+            "char c =     ; g();",
+        ])
+        # Every surviving character sits at its source column.
+        for view, raw in zip(lines, src.split("\n")):
+            for i, ch in enumerate(view):
+                if ch != " ":
+                    self.assertEqual(raw[i], ch)
 
 
 def graph_for(src, relpath="src/mpc/unit.cpp"):

@@ -20,6 +20,7 @@ The token stream is lossless enough for scope tracking and statement
 splitting, and strictly positioned so findings carry real columns.
 """
 
+import re
 from collections import namedtuple
 
 Token = namedtuple("Token", ["kind", "text", "line", "col"])
@@ -32,6 +33,7 @@ PUNCTUATORS = [
     "{", "}", "[", "]", "(", ")", ";", ":", "?", ".", "+", "-", "*", "/",
     "%", "&", "|", "^", "!", "~", "<", ">", "=", ",", "#",
 ]
+_PUNCT_RE = re.compile("|".join(re.escape(p) for p in PUNCTUATORS))
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -222,11 +224,10 @@ def tokenize(text):
             continue
 
         # Punctuation, maximal munch.
-        for p in PUNCTUATORS:
-            if cur.startswith(p):
-                tokens.append(Token("punct", p, line, col))
-                cur.advance(len(p))
-                break
+        m = _PUNCT_RE.match(cur.text, cur.i)
+        if m:
+            tokens.append(Token("punct", m.group(0), line, col))
+            cur.advance(len(m.group(0)))
         else:
             # Unknown byte (extended charset, stray backslash): skip it.
             cur.advance()
@@ -237,6 +238,20 @@ def tokenize(text):
 def code_tokens(tokens):
     """Tokens with comments and preprocessor directives filtered out."""
     return [t for t in tokens if t.kind not in ("comment", "pp")]
+
+
+def code_lines(tokens, text):
+    """Code-only view of each source line (index 0 = line 1): every code
+    token at its own column, with comments, string/char literals and
+    preprocessor directives blanked. Line regexes run on this view keep their
+    patterns and report real columns, and never match prose or literals."""
+    lines = [""] * (text.count("\n") + 1)
+    for t in code_tokens(tokens):
+        if t.kind in ("string", "char"):
+            continue
+        s = lines[t.line - 1]
+        lines[t.line - 1] = s + " " * (t.col - 1 - len(s)) + t.text
+    return lines
 
 
 def string_value(tok):

@@ -13,7 +13,10 @@ statements. From each TU it extracts a JSON-serializable *facts* dict:
                 they precede;
   declassify    DECLASSIFY(reason) markers with their target lines;
   handles       ANALYZE-HANDLES(kind) markers for hand-rolled decoders;
-  allows        LINT-ALLOW(rule): reason markers (same grammar as fairsfe-lint).
+  allows        LINT-ALLOW(rule): reason markers, keyed by target line;
+  findings      the TU-local line-rule findings (line_rules.check);
+  unordered_idents, includes, iteration_sites
+                what line_rules.unordered_iteration joins across TUs.
 
 The pass is deliberately lightweight — no templates instantiated, no
 overload resolution — but it is *structural*: scopes nest correctly, raw
@@ -26,7 +29,8 @@ extraction out to worker processes.
 
 import re
 
-from tokenizer import tokenize, string_value
+import line_rules
+from tokenizer import code_lines, tokenize, string_value
 
 RNG_DRAW_METHODS = {"u64", "below", "bit", "bytes", "fill", "uniform"}
 QUALIFIER_KEYWORDS = {
@@ -242,6 +246,7 @@ class _Extractor:
         self.all_tokens = tokenize(text)
         self.tokens = [t for t in self.all_tokens if t.kind not in ("comment", "pp")]
         self.code_lines = {t.line for t in self.tokens}
+        self.member_lines = set()  # lines of statements directly in a class
         self.facts = {
             "relpath": relpath,
             "functions": [],
@@ -284,16 +289,24 @@ class _Extractor:
     # -- annotations --------------------------------------------------------
 
     def parse_annotations(self, raw_lines):
-        comments = [t for t in self.all_tokens if t.kind == "comment"]
-        for t in comments:
+        for t in self.all_tokens:
+            if t.kind not in ("comment", "pp"):
+                continue
             for lineno_off, line_text in enumerate(t.text.split("\n")):
                 lineno = t.line + lineno_off
                 m = ALLOW_RE.search(line_text)
                 if m:
-                    own_line = lineno not in self.code_lines
+                    # A directive's trailing comment is folded into its `pp`
+                    # token; an allow there targets the directive itself.
+                    own_line = (t.kind == "comment"
+                                and lineno not in self.code_lines)
                     target = lineno + 1 if own_line else lineno
+                    col = (t.col if lineno_off == 0 else 1) + m.start()
                     self.facts["allows"].setdefault(str(target), []).append(
-                        [m.group("rule"), (m.group("reason") or "").strip(), lineno])
+                        [m.group("rule"), (m.group("reason") or "").strip(),
+                         lineno, col])
+                if t.kind == "pp":
+                    continue
                 m = TAINT_SOURCE_RE.search(line_text)
                 if m:
                     subj = self._annotation_subject(lineno)
@@ -561,6 +574,7 @@ class _Extractor:
             return
         in_class = self.scopes[-1].kind == "class"
         if in_class:
+            self.member_lines.update(t.line for t in stmt)
             decl = _parse_decl(stmt)
             if decl:
                 cls = self.scopes[-1].name
@@ -753,4 +767,9 @@ def extract_facts(relpath, text):
     """Public entry: facts dict for one TU."""
     ex = _Extractor(relpath, text)
     ex.parse_annotations(text.split("\n"))
-    return ex.run()
+    facts = ex.run()
+    lines = code_lines(ex.all_tokens, text)
+    facts["findings"] = line_rules.check(relpath, ex.all_tokens, lines,
+                                         ex.member_lines)
+    facts.update(line_rules.iteration_facts(relpath, ex.all_tokens, lines))
+    return facts

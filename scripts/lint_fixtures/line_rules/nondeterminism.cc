@@ -1,5 +1,5 @@
 // Known-bad corpus for the `nondeterminism` rule: every flagged line carries
-// an EXPECT marker naming the rule; scripts/fairsfe_lint.py --self-test fails
+// an EXPECT marker naming the rule; fairsfe-analyze --self-test fails
 // if a marked line is missed or an unmarked line is flagged.
 //
 // Mentioning std::random_device or srand in prose (like this line) is fine:

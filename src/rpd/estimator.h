@@ -46,7 +46,7 @@ struct RunSetup {
   std::vector<std::unique_ptr<sim::IParty>> parties;
   std::unique_ptr<sim::IFunctionality> functionality;  // may be null
   std::unique_ptr<sim::IAdversary> adversary;          // may be null
-  sim::EngineConfig engine;
+  sim::ExecutionOptions engine;
   /// j-bit of the event: did honest parties learn their (correct) output?
   /// Defaults to all_honest_nonbot if unset. The factory captures the run's
   /// inputs, so the predicate can check actual correctness.

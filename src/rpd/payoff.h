@@ -61,8 +61,8 @@ struct PayoffVector {
 /// Named Γ presets — the single definition point for every γ the experiment
 /// and bench layers use. Scenario TUs reference these by name; raw
 /// `PayoffVector{...}` brace-literals outside src/rpd and tests are banned by
-/// the fairsfe-lint `gamma-literal` rule, so a vector's value can never drift
-/// between the TUs that share it.
+/// the fairsfe-analyze `gamma-literal` rule, so a vector's value can never
+/// drift between the TUs that share it.
 namespace payoff {
 
 /// The canonical Γ+fair vector (0.25, 0, 1, 0.5) — alias of

@@ -69,9 +69,6 @@ struct ExecutionOptions {
   Transport* transport = nullptr;
 };
 
-/// Legacy name for ExecutionOptions.
-using EngineConfig = ExecutionOptions;
-
 /// Routing-cost counters for one execution (all updated on the delivery
 /// path, so they are exact, not sampled).
 struct RoutingStats {
