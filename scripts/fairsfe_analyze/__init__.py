@@ -31,4 +31,4 @@ message kinds. `--list-rules` prints every rule with its scope.
 ANALYZER_NAME = "fairsfe-analyze"
 # Bump whenever extraction or analysis semantics change: the version is part
 # of the per-TU cache key, so stale facts can never survive an upgrade.
-ANALYZER_VERSION = "2.0.0"  # 2.0: line rules, allow columns
+ANALYZER_VERSION = "2.1.0"  # 2.1: range-for over member chains

@@ -31,7 +31,7 @@ TAINT_DIRS = ("src",)
 
 # Hand-maintained kind aliases: encode_frame's body is split from
 # decode_frame_body in src/net/wire.*, but both speak the same frame schema.
-KIND_ALIASES = {"frame_body": "frame"}
+KIND_ALIASES = {"frame_body": "frame", "func_output_view": "func_output"}
 
 # Kinds whose decode side is a Reader loop rather than a decode_<kind>()
 # helper get an `// ANALYZE-HANDLES(kind)` annotation at the parse site; the

@@ -122,7 +122,9 @@ _ITERATION = next(r for r in RULES if r.name == "unordered-iteration")
 UNORDERED_DECL_RE = re.compile(r"unordered_(?:map|set)<[^;]*>\s+(\w+)\s*[;{=]")
 INCLUDE_RE = re.compile(r'#\s*include\s+"([^"]+)"')
 RANGE_FOR_RE = re.compile(r"for\s*\(([^;)]*)")
-RANGE_SOURCE_RE = re.compile(r":\s*(?:this->)?(\w+)")
+# The range source's last identifier: `slots_` in `: slots_`, `: this->slots_`
+# and `: r.owner->slots_` alike.
+RANGE_SOURCE_RE = re.compile(r":\s*(?:\w+\s*(?:\.|->)\s*)*(\w+)")
 ITERATOR_CALL_RE = re.compile(r"\b(\w+)\s*\.\s*(?:c?begin|c?end)\s*\(")
 
 

@@ -130,7 +130,7 @@ std::vector<Message> Lemma18Deviator::on_round(sim::AdvContext& ctx,
     for (const sim::MsgView* msgs : {&view.delivered, &view.rushed}) {
       for (const Message& m : *msgs) {
         const auto ann = fair::decode_announcement(m.payload);
-        if (ann) mark_learned(ann->first);
+        if (ann) mark_learned(Bytes(ann->first.begin(), ann->first.end()));
       }
     }
   }

@@ -35,6 +35,20 @@ struct AuthShare2 {
   static std::optional<AuthShare2> from_bytes(ByteView data);
 };
 
+/// An AuthShare2::to_bytes() record read in place: views into the record's
+/// buffer, valid as long as that buffer is.
+// TAINT-SOURCE(share): a view of a party's authenticated summand+tag
+struct AuthShare2View {
+  ByteView summand;
+  /// The record's prefix blob(summand) ‖ blob(summand_tag), which is exactly
+  /// AuthShare2::opening_to_bytes().
+  ByteView opening;
+  MacKey key;
+
+  /// std::nullopt if the record is malformed.
+  static std::optional<AuthShare2View> parse(ByteView record);
+};
+
 // TAINT-SOURCE(share): both halves of an authenticated sharing — strictly more secret than either share
 struct AuthSharing2 {
   AuthShare2 share1;  ///< held by p₁
@@ -45,9 +59,25 @@ struct AuthSharing2 {
 // TAINT-SOURCE(share): produces the full sharing of `secret`
 AuthSharing2 auth_share2(ByteView secret, Rng& rng);
 
+/// Size of one AuthShare2::to_bytes() record for a `secret_size`-byte secret:
+/// the summand is blob(s) ‖ blob(tag) ‖ blob(tag), framed with an 8-byte tag
+/// and a 16-byte key.
+constexpr std::size_t auth_share2_record_size(std::size_t secret_size) {
+  return secret_size + 64;
+}
+
+/// auth_share2() written in place: `rec1` and `rec2` (each exactly
+/// auth_share2_record_size(secret.size()) bytes) receive share1's and
+/// share2's to_bytes() encodings. Same draws: k₁, k₂, then the summand
+/// keystream.
+// TAINT-SOURCE(share): produces the full sharing of `secret`
+void auth_share2_records(ByteView secret, Rng& rng, std::span<std::uint8_t> rec1,
+                         std::span<std::uint8_t> rec2);
+
 /// Reconstruct towards the holder of `mine`, given the other party's opening
 /// message (wire format of AuthShare2::opening_to_bytes). Returns the secret,
 /// or std::nullopt if either MAC check fails (⇒ the receiver aborts).
 std::optional<Bytes> auth_reconstruct2(const AuthShare2& mine, ByteView other_opening);
+std::optional<Bytes> auth_reconstruct2(const AuthShare2View& mine, ByteView other_opening);
 
 }  // namespace fairsfe

@@ -91,6 +91,12 @@ Writer& Writer::raw(ByteView data) {
   return *this;
 }
 
+std::span<std::uint8_t> Writer::blob_slot(std::size_t n) {
+  u32(static_cast<std::uint32_t>(n));
+  buf_.resize(buf_.size() + n);
+  return std::span<std::uint8_t>(buf_).last(n);
+}
+
 Writer& Writer::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());

@@ -44,6 +44,9 @@ class Writer {
   /// Most control messages are tag + label + a few operands; one up-front
   /// allocation replaces the doubling crawl from an empty buffer.
   Writer() { buf_.reserve(24); }
+  /// A writer whose buffer is reserved once, for an encoding whose size the
+  /// caller knows in advance.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   Writer& u8(std::uint8_t v);
   Writer& u32(std::uint32_t v);
@@ -53,6 +56,10 @@ class Writer {
   /// Raw bytes, no length prefix (caller knows the framing).
   Writer& raw(ByteView data);
   Writer& str(std::string_view s);
+  /// Length-prefixed blob of `n` bytes that the caller writes in place
+  /// through the returned span (zeroed until then). The span is valid until
+  /// the next write to this writer.
+  std::span<std::uint8_t> blob_slot(std::size_t n);
 
   [[nodiscard]] const Bytes& bytes() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }

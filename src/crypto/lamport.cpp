@@ -14,24 +14,33 @@ inline ByteView slice(ByteView data, std::size_t index) {
   return data.subspan(index * kChunk, kChunk);
 }
 
-inline int msg_bit(const Bytes& digest, std::size_t i) {
+using Digest = std::array<std::uint8_t, Sha256::kDigestSize>;
+
+inline Digest hash(ByteView data) {
+  Digest d{};
+  Sha256().update(data).finish(d);
+  return d;
+}
+
+inline int msg_bit(const Digest& digest, std::size_t i) {
   return (digest[i / 8] >> (i % 8)) & 1;
 }
 }  // namespace
 
 LamportKeyPair lamport_gen(Rng& rng) {
+  static_assert(kChunk == Sha256::kDigestSize, "vk chunks are digests");
   LamportKeyPair kp;
   kp.signing_key = rng.bytes(kKeyBytes);
-  kp.verification_key.reserve(kKeyBytes);
+  kp.verification_key.resize(kKeyBytes);
   for (std::size_t i = 0; i < 2 * kBits; ++i) {
-    const Bytes h = sha256(slice(kp.signing_key, i));
-    kp.verification_key.insert(kp.verification_key.end(), h.begin(), h.end());
+    const std::span<std::uint8_t, kChunk> vk(kp.verification_key.data() + i * kChunk, kChunk);
+    Sha256::digest32(kp.signing_key.data() + i * kChunk, vk);
   }
   return kp;
 }
 
 Bytes lamport_sign(const Bytes& signing_key, ByteView msg) {
-  const Bytes digest = sha256(msg);
+  const Digest digest = hash(msg);
   Bytes sig;
   sig.reserve(kBits * kChunk);
   for (std::size_t i = 0; i < kBits; ++i) {
@@ -42,12 +51,13 @@ Bytes lamport_sign(const Bytes& signing_key, ByteView msg) {
   return sig;
 }
 
-bool lamport_verify(const Bytes& verification_key, ByteView msg, ByteView sig) {
+bool lamport_verify(ByteView verification_key, ByteView msg, ByteView sig) {
   if (verification_key.size() != kKeyBytes || sig.size() != kBits * kChunk) return false;
-  const Bytes digest = sha256(msg);
+  const Digest digest = hash(msg);
   for (std::size_t i = 0; i < kBits; ++i) {
     const std::size_t idx = 2 * i + static_cast<std::size_t>(msg_bit(digest, i));
-    const Bytes h = sha256(slice(sig, i));
+    Digest h{};
+    Sha256::digest32(sig.data() + i * kChunk, h);
     if (!ct_equal(h, slice(verification_key, idx))) return false;
   }
   return true;

@@ -32,6 +32,6 @@ LamportKeyPair lamport_gen(Rng& rng);
 Bytes lamport_sign(const Bytes& signing_key, ByteView msg);
 
 /// Verify a signature against a verification key.
-bool lamport_verify(const Bytes& verification_key, ByteView msg, ByteView sig);
+bool lamport_verify(ByteView verification_key, ByteView msg, ByteView sig);
 
 }  // namespace fairsfe

@@ -1,6 +1,7 @@
 #include "crypto/mac.h"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/rng.h"
 
@@ -46,13 +47,19 @@ Fp mac_fold(const MacKey& key, ByteView msg) {
 }  // namespace
 
 Bytes mac_tag(const MacKey& key, ByteView msg) {
-  return fp_to_bytes(mac_fold(key, msg));
+  Bytes tag(kMacTagSize);
+  mac_tag_into(key, msg, std::span<std::uint8_t, kMacTagSize>(tag.data(), kMacTagSize));
+  return tag;
+}
+
+void mac_tag_into(const MacKey& key, ByteView msg, std::span<std::uint8_t, kMacTagSize> out) {
+  const std::uint64_t v = mac_fold(key, msg).value();  // fp_to_bytes: u64 little-endian
+  for (std::size_t i = 0; i < kMacTagSize; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 bool mac_verify(const MacKey& key, ByteView msg, ByteView tag) {
-  const std::uint64_t v = mac_fold(key, msg).value();
-  std::uint8_t expect[8];
-  for (int i = 0; i < 8; ++i) expect[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  std::array<std::uint8_t, kMacTagSize> expect{};
+  mac_tag_into(key, msg, expect);
   return ct_equal(expect, tag);
 }
 

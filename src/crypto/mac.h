@@ -33,8 +33,12 @@ struct MacKey {
   static std::optional<MacKey> from_bytes(ByteView data);
 };
 
+inline constexpr std::size_t kMacTagSize = 8;
+
 /// Compute the one-time MAC tag of `msg` under `key` (8 bytes).
 Bytes mac_tag(const MacKey& key, ByteView msg);
+/// mac_tag() written into a caller's 8-byte array (no allocation).
+void mac_tag_into(const MacKey& key, ByteView msg, std::span<std::uint8_t, kMacTagSize> out);
 
 /// Verify a tag; tolerant of malformed tags (returns false).
 bool mac_verify(const MacKey& key, ByteView msg, ByteView tag);

@@ -6,17 +6,29 @@
 namespace fairsfe {
 
 std::vector<Bytes> xor_share(ByteView secret, std::size_t n, Rng& rng) {
-  FAIRSFE_CHECK(n >= 1, "xor_share needs at least one share");
+  const std::size_t len = secret.size();
+  Bytes flat(n * len);
+  xor_share_into(secret, n, rng, flat);
   std::vector<Bytes> shares;
   shares.reserve(n);
-  Bytes acc(secret.begin(), secret.end());
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    Bytes r = rng.bytes(secret.size());
-    acc = xor_bytes(acc, r);
-    shares.push_back(std::move(r));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto at = flat.begin() + static_cast<std::ptrdiff_t>(i * len);
+    shares.emplace_back(at, at + static_cast<std::ptrdiff_t>(len));
   }
-  shares.push_back(std::move(acc));
   return shares;
+}
+
+void xor_share_into(ByteView secret, std::size_t n, Rng& rng, std::span<std::uint8_t> out) {
+  FAIRSFE_CHECK(n >= 1, "xor_share needs at least one share");
+  const std::size_t len = secret.size();
+  FAIRSFE_CHECK(out.size() == n * len, "xor_share_into: out must hold n shares");
+  rng.fill(out.first((n - 1) * len));
+  std::uint8_t* last = out.data() + (n - 1) * len;
+  for (std::size_t k = 0; k < len; ++k) {
+    std::uint8_t acc = secret[k];
+    for (std::size_t i = 0; i + 1 < n; ++i) acc ^= out[i * len + k];
+    last[k] = acc;
+  }
 }
 
 Bytes xor_reconstruct(std::span<const ByteView> shares) {

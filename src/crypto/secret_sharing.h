@@ -16,6 +16,10 @@ class Rng;
 
 /// Split `secret` into `n` XOR-additive shares. Precondition: n >= 1.
 std::vector<Bytes> xor_share(ByteView secret, std::size_t n, Rng& rng);
+/// xor_share() written in place: `out` (n · |secret| bytes) receives the n
+/// shares end to end. Same draws: shares 1..n-1 are the next keystream
+/// bytes, share n closes the XOR.
+void xor_share_into(ByteView secret, std::size_t n, Rng& rng, std::span<std::uint8_t> out);
 
 /// Recombine XOR-additive shares. Precondition: all same length, non-empty.
 Bytes xor_reconstruct(std::span<const ByteView> shares);

@@ -260,27 +260,63 @@ Sha256& Sha256::update(ByteView data) {
   return *this;
 }
 
+Sha256& Sha256::u64(std::uint64_t v) {
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return update(le);
+}
+
+Sha256& Sha256::blob(ByteView data) {
+  std::uint8_t le[4];
+  for (int i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(data.size() >> (8 * i));
+  return update(le).update(data);
+}
+
+Sha256& Sha256::str(std::string_view s) {
+  return blob(ByteView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+}
+
 Bytes Sha256::finish() {
+  Bytes out(kDigestSize);
+  finish(std::span<std::uint8_t, kDigestSize>(out.data(), kDigestSize));
+  return out;
+}
+
+void Sha256::finish(std::span<std::uint8_t, kDigestSize> out) {
   const std::uint64_t bit_len = total_len_ * 8;
   // One 0x80 byte, then zeros up to offset 56 of the final block (one extra
-  // block when fewer than 8 bytes remain for the length field).
-  static constexpr std::uint8_t kPad[kBlockSize + 1] = {0x80};
-  const std::size_t pad_len =
-      1 + ((kBlockSize + 56 - (buf_len_ + 1) % kBlockSize) % kBlockSize);
-  update(ByteView(kPad, pad_len));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  std::memcpy(buf_.data() + 56, len_be, 8);
+  // block when fewer than 8 bytes remain for the length field), written
+  // straight into the block buffer.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, kBlockSize - buf_len_);
+    process_block(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  }
   process_block(buf_.data());
+  store_digest(out);
+}
 
-  Bytes out(kDigestSize);
+void Sha256::digest32(const std::uint8_t* in, std::span<std::uint8_t, kDigestSize> out) {
+  Sha256 h;  // buf_ starts zeroed
+  std::memcpy(h.buf_.data(), in, 32);
+  h.buf_[32] = 0x80;
+  h.buf_[62] = 0x01;  // bit length 256, big-endian in bytes 56..63
+  h.process_block(h.buf_.data());
+  h.store_digest(out);
+}
+
+void Sha256::store_digest(std::span<std::uint8_t, kDigestSize> out) const {
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
     out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
     out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
     out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
-  return out;
 }
 
 Bytes sha256(ByteView data) {
@@ -288,9 +324,7 @@ Bytes sha256(ByteView data) {
 }
 
 Bytes sha256_labeled(std::string_view label, ByteView data) {
-  Writer w;
-  w.str(label).raw(data);
-  return sha256(w.bytes());
+  return Sha256().str(label).update(data).finish();
 }
 
 }  // namespace fairsfe

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "crypto/bytes.h"
 
@@ -19,11 +20,23 @@ class Sha256 {
   Sha256();
 
   Sha256& update(ByteView data);
+  /// Hash the Writer encoding of a value (bytes.h) without building it:
+  /// u64 little-endian, blob/str u32-length-prefixed.
+  Sha256& u64(std::uint64_t v);
+  Sha256& blob(ByteView data);
+  Sha256& str(std::string_view s);
   /// Finalizes and returns the digest. The object must not be reused after.
   Bytes finish();
+  /// finish() written into a caller's 32-byte array (no allocation).
+  void finish(std::span<std::uint8_t, kDigestSize> out);
+
+  /// SHA-256 of exactly 32 bytes (Lamport's key and signature chunks): one
+  /// pre-padded block, no buffering. Same digest as update(in).finish().
+  static void digest32(const std::uint8_t* in, std::span<std::uint8_t, kDigestSize> out);
 
  private:
   void process_block(const std::uint8_t* block);
+  void store_digest(std::span<std::uint8_t, kDigestSize> out) const;
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, kBlockSize> buf_{};

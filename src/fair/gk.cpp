@@ -54,13 +54,14 @@ std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView paylo
   return std::make_pair(static_cast<std::size_t>(*j), *body);
 }
 
-std::shared_ptr<const GkStreams> GkStreams::parse(sim::PartyId id, ByteView body) {
-  Reader r(body);
+std::shared_ptr<const GkStreams> GkStreams::parse(sim::PartyId id, Bytes body) {
+  auto streams = std::make_shared<GkStreams>();
+  streams->body = std::move(body);
+  Reader r(streams->body);
   const auto cap = r.u32();
   const auto fallback = r.blob_view();
   if (!cap || !fallback) return nullptr;
-  auto streams = std::make_shared<GkStreams>();
-  streams->fallback.assign(fallback->begin(), fallback->end());
+  streams->fallback = *fallback;
   // Each iteration takes at least two length prefixes: a hostile cap cannot
   // reserve more than the body could hold.
   const std::size_t n = std::min<std::size_t>(*cap, r.remaining() / 8);
@@ -69,12 +70,12 @@ std::shared_ptr<const GkStreams> GkStreams::parse(sim::PartyId id, ByteView body
   for (std::size_t j = 1; j <= *cap; ++j) {
     const auto sa = r.blob_view();
     const auto sb = r.blob_view();
-    auto share_a = sa ? AuthShare2::from_bytes(*sa) : std::nullopt;
-    auto share_b = sb ? AuthShare2::from_bytes(*sb) : std::nullopt;
+    const auto share_a = sa ? AuthShare2View::parse(*sa) : std::nullopt;
+    const auto share_b = sb ? AuthShare2View::parse(*sb) : std::nullopt;
     if (!share_a || !share_b) return nullptr;
     // p1 reads the a-stream and opens the b-stream; p2 vice versa.
-    streams->incoming.push_back(std::move(id == 0 ? *share_a : *share_b));
-    streams->outgoing.push_back(std::move(id == 0 ? *share_b : *share_a));
+    streams->incoming.push_back(id == 0 ? *share_a : *share_b);
+    streams->outgoing.push_back(id == 0 ? *share_b : *share_a);
   }
   return streams;
 }
@@ -82,7 +83,7 @@ std::shared_ptr<const GkStreams> GkStreams::parse(sim::PartyId id, ByteView body
 std::vector<Message> GkStreams::opening(sim::PartyId from, std::size_t j) const {
   if (j == 0 || j > outgoing.size()) return {};
   return {Message{from, static_cast<sim::PartyId>(1 - from),
-                  encode_gk_opening(j, outgoing[j - 1].opening_to_bytes())}};
+                  encode_gk_opening(j, outgoing[j - 1].opening)}};
 }
 
 std::optional<Bytes> GkStreams::reconstruct(sim::PartyId me, std::size_t j,
@@ -101,31 +102,27 @@ std::vector<Message> deal_gk_streams(sim::FuncContext& ctx, const mpc::NotesPtr&
                                      const std::function<Bytes()>& fake_a,
                                      const std::function<Bytes()>& fake_b) {
   Rng& rng = ctx.rng();
-  Writer w1, w2;
+  // Fakes are outputs of f like y, so one reservation usually holds the
+  // whole stream: per iteration a framed record of a_j's and of b_j's half.
+  const std::size_t capacity = 8 + y.size() + rounds * 2 * (4 + auth_share2_record_size(y.size()));
+  Writer w1 = sim::func_output_writer(capacity), w2 = sim::func_output_writer(capacity);
   w1.u32(static_cast<std::uint32_t>(rounds)).blob(fake_a());  // a_0 fallback for p1
   w2.u32(static_cast<std::uint32_t>(rounds)).blob(fake_b());  // b_0 fallback for p2
   for (std::size_t j = 1; j <= rounds; ++j) {
-    const Bytes a_j = (j < i_star) ? fake_a() : y;
-    const Bytes b_j = (j < i_star) ? fake_b() : y;
-    const AuthSharing2 sa = auth_share2(a_j, rng);
-    const AuthSharing2 sb = auth_share2(b_j, rng);
-    w1.blob(sa.share1.to_bytes()).blob(sb.share1.to_bytes());
-    w2.blob(sa.share2.to_bytes()).blob(sb.share2.to_bytes());
+    const Bytes fa = j < i_star ? fake_a() : Bytes{};
+    const Bytes fb = j < i_star ? fake_b() : Bytes{};
+    for (const ByteView v : {ByteView(j < i_star ? fa : y), ByteView(j < i_star ? fb : y)}) {
+      const std::size_t size = auth_share2_record_size(v.size());
+      auth_share2_records(v, rng, w1.blob_slot(size), w2.blob_slot(size));
+    }
   }
 
   std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, sim::encode_func_output(w1.bytes())},
-      Message{sim::kFunc, 1, sim::encode_func_output(w2.bytes())},
+      Message{sim::kFunc, 0, sim::seal_func_output(w1.take())},
+      Message{sim::kFunc, 1, sim::seal_func_output(w2.take())},
   };
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  const bool abort = sim::gate_deliveries(ctx, deliveries);
   if (notes) notes->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-  }
   return deliveries;
 }
 
@@ -199,13 +196,13 @@ std::vector<Message> GkParty::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitShares: {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      streams_ = body ? GkStreams::parse(id_, *body) : nullptr;
+      auto body = sim::decode_func_output(fm->payload);
+      streams_ = body ? GkStreams::parse(id_, std::move(*body)) : nullptr;
       if (!streams_) {
         finish_with_default();
         return {};
       }
-      last_value_ = streams_->fallback;
+      last_value_.assign(streams_->fallback.begin(), streams_->fallback.end());
       step_ = Step::kIterate;
       j_ = 1;
       if (id_ == 1) {

@@ -54,19 +54,24 @@ GkParams make_gk_and_params(std::size_t p);
 /// One party's ShareGen delivery for the two-party 1/p protocols (GK here,
 /// round sampling in fair/partial_1p.h), parsed once at kAwaitShares. The
 /// wire format is u32 cap ‖ blob(fallback) ‖ cap × (blob(a_j half) ‖
-/// blob(b_j half)), each half an AuthShare2::to_bytes. Immutable after
-/// parsing, so party clones share it instead of copying 2·cap shares.
+/// blob(b_j half)), each half an AuthShare2::to_bytes. The body plus views
+/// into it; immutable after parsing, so party clones share it.
 struct GkStreams {
-  Bytes fallback;                    ///< a_0 (p1) / b_0 (p2)
-  std::vector<AuthShare2> incoming;  ///< [j-1]: my half of the value I reconstruct
-  std::vector<AuthShare2> outgoing;  ///< [j-1]: my half of the value I open
+  Bytes body;
+  ByteView fallback;                     ///< a_0 (p1) / b_0 (p2)
+  std::vector<AuthShare2View> incoming;  ///< [j-1]: my half of the value I reconstruct
+  std::vector<AuthShare2View> outgoing;  ///< [j-1]: my half of the value I open
+
+  GkStreams() = default;
+  GkStreams(const GkStreams&) = delete;  // the views point into this body
+  GkStreams& operator=(const GkStreams&) = delete;
 
   [[nodiscard]] std::size_t rounds() const { return incoming.size(); }
 
   /// Parse the delivery body for party `id`: p1 (id 0) reads the a-stream
   /// and opens the b-stream, p2 vice versa. nullptr if any piece is
   /// malformed.
-  static std::shared_ptr<const GkStreams> parse(sim::PartyId id, ByteView body);
+  static std::shared_ptr<const GkStreams> parse(sim::PartyId id, Bytes body);
 
   /// `from`'s opening of iteration j of its outgoing stream, addressed to the
   /// peer; empty when j is out of range.

@@ -1,6 +1,7 @@
 #include "fair/gk_multi.h"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/secret_sharing.h"
 #include "crypto/sha256.h"
@@ -53,10 +54,11 @@ std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload) {
   return GkMultiShare{static_cast<std::size_t>(*j), *summand, *nonce};
 }
 
-Bytes gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand) {
-  Writer w;
-  w.u64(j).blob(nonce).blob(summand);
-  return sha256_labeled("gk-multi", w.bytes());
+std::array<std::uint8_t, 32> gk_multi_share_hash(std::size_t j, ByteView nonce,
+                                                 ByteView summand) {
+  std::array<std::uint8_t, 32> digest{};
+  Sha256().str("gk-multi").u64(j).blob(nonce).blob(summand).finish(digest);
+  return digest;
 }
 
 MultiShareGenFunc::MultiShareGenFunc(GkMultiParams params, mpc::NotesPtr notes)
@@ -107,43 +109,43 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
 
   auto fake = [&]() { return params_.spec.eval(params_.sample_inputs(rng)); };
 
-  // Per-party output blobs.
-  std::vector<Writer> blobs(n);
+  // Per-party outputs, each reserved once (fakes are outputs of f like y).
+  const std::size_t capacity = 8 + y.size() + cap * (y.size() + 24 + n * 36);
+  std::vector<Writer> blobs;
+  blobs.reserve(n);
   for (std::size_t p = 0; p < n; ++p) {
+    blobs.push_back(sim::func_output_writer(capacity));
     blobs[p].u32(static_cast<std::uint32_t>(cap));
     blobs[p].blob(fake());  // independent v_0 fallback per party
   }
+  // Iteration j's n summands, nonces and commitments; the nonces are drawn
+  // after the summands.
+  Bytes summands, nonces(16 * n);
+  std::vector<std::array<std::uint8_t, 32>> hashes(n);
   for (std::size_t j = 1; j <= cap; ++j) {
-    const Bytes v = (j < i_star) ? fake() : y;
-    const auto summands = xor_share(v, n, rng);
-    std::vector<Bytes> nonces(n);
-    std::vector<Bytes> hashes(n);
+    const Bytes fv = j < i_star ? fake() : Bytes{};
+    const ByteView v = j < i_star ? ByteView(fv) : ByteView(y);
+    const std::size_t len = v.size();
+    summands.resize(n * len);
+    xor_share_into(v, n, rng, summands);
+    rng.fill(nonces);
+    const auto summand = [&](std::size_t p) { return ByteView(summands).subspan(p * len, len); };
+    const auto nonce = [&](std::size_t p) { return ByteView(nonces).subspan(16 * p, 16); };
+    for (std::size_t p = 0; p < n; ++p) hashes[p] = gk_multi_share_hash(j, nonce(p), summand(p));
     for (std::size_t p = 0; p < n; ++p) {
-      nonces[p] = rng.bytes(16);
-      hashes[p] = gk_multi_share_hash(j, nonces[p], summands[p]);
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-      blobs[p].blob(summands[p]).blob(nonces[p]);
-      for (const Bytes& h : hashes) blobs[p].blob(h);
+      blobs[p].blob(summand(p)).blob(nonce(p));
+      for (const auto& h : hashes) blobs[p].blob(h);
     }
   }
 
   std::vector<Message> deliveries;
   for (std::size_t p = 0; p < n; ++p) {
     deliveries.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                                 sim::encode_func_output(blobs[p].bytes())});
+                                 sim::seal_func_output(blobs[p].take())});
   }
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  const bool abort = sim::gate_deliveries(ctx, deliveries);
   if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+  return deliveries;
 }
 
 GkMultiParty::GkMultiParty(sim::PartyId id, GkMultiParams params, Bytes input, Rng rng)

@@ -115,7 +115,9 @@ struct GkMultiShare {
   ByteView nonce;
 };
 std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload);
-/// The commitment binding a summand: H("gk-multi" ‖ j ‖ nonce ‖ summand).
-Bytes gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand);
+/// The commitment binding a summand: H("gk-multi" ‖ j ‖ nonce ‖ summand),
+/// i.e. sha256_labeled("gk-multi", u64 j ‖ blob(nonce) ‖ blob(summand)).
+std::array<std::uint8_t, 32> gk_multi_share_hash(std::size_t j, ByteView nonce,
+                                                 ByteView summand);
 
 }  // namespace fairsfe::fair

@@ -36,15 +36,15 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitFuncOutput: {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      const auto priv = body ? decode_priv_output(*body) : std::nullopt;
+      const auto body = sim::decode_func_output_view(fm->payload);
+      auto priv = body ? decode_priv_output(*body) : std::nullopt;
       if (!priv) {
         finish_bot();
         return {};
       }
-      vk_ = priv->vk;
-      if (priv->has_value && lamport_verify(vk_, priv->y, priv->sig)) {
-        my_value_ = std::make_pair(priv->y, priv->sig);
+      vk_ = std::make_shared<const Bytes>(std::move(priv->vk));
+      if (priv->has_value && lamport_verify(*vk_, priv->y, priv->sig)) {
+        my_value_ = std::make_pair(std::move(priv->y), std::move(priv->sig));
       }
       // Step 2: send "0" to all other parties.
       step_ = Step::kAwaitFlags;
@@ -61,8 +61,8 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         // corrupted p_{i*} might even have sent a round early).
         for (const Message& m : in) {
           const auto ann = decode_announcement(m.payload);
-          if (ann && lamport_verify(vk_, ann->first, ann->second)) {
-            finish(ann->first);
+          if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+            finish(Bytes(ann->first.begin(), ann->first.end()));
             return {};
           }
         }
@@ -98,8 +98,8 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitValue: {
       for (const Message& m : in) {
         const auto ann = decode_announcement(m.payload);
-        if (ann && lamport_verify(vk_, ann->first, ann->second)) {
-          finish(ann->first);
+        if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+          finish(Bytes(ann->first.begin(), ann->first.end()));
           return {};
         }
       }

@@ -39,7 +39,7 @@ class Lemma18Party final : public sim::PartyBase<Lemma18Party> {
   Rng rng_;
 
   Step step_ = Step::kSendInput;
-  Bytes vk_;
+  std::shared_ptr<const Bytes> vk_;  // 16 KB Lamport key, shared by clones
   std::optional<std::pair<Bytes, Bytes>> my_value_;
 };
 

@@ -78,17 +78,9 @@ std::vector<Message> Opt2ShareFunc::on_round(sim::FuncContext& ctx, int /*round*
       Message{sim::kFunc, 1, encode_out(sharing.share2)},
   };
 
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  const bool abort = sim::gate_deliveries(ctx, deliveries);
   if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+  return deliveries;
 }
 
 Opt2Party::Opt2Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)

@@ -10,7 +10,7 @@ constexpr std::uint8_t kTagAnnounce = 30;
 }  // namespace
 
 Bytes encode_announcement(const std::optional<std::pair<Bytes, Bytes>>& value) {
-  Writer w;
+  Writer w(2 + (value ? 8 + value->first.size() + value->second.size() : 0));
   w.u8(kTagAnnounce);
   if (value) {
     w.u8(1).blob(value->first).blob(value->second);
@@ -20,14 +20,14 @@ Bytes encode_announcement(const std::optional<std::pair<Bytes, Bytes>>& value) {
   return w.take();
 }
 
-std::optional<std::pair<Bytes, Bytes>> decode_announcement(ByteView payload) {
+std::optional<std::pair<ByteView, ByteView>> decode_announcement(ByteView payload) {
   Reader r(payload);
   const auto tag = r.u8();
   if (!tag || *tag != kTagAnnounce) return std::nullopt;
   const auto flag = r.u8();
   if (!flag || *flag == 0) return std::nullopt;
-  const auto y = r.blob();
-  const auto sig = r.blob();
+  const auto y = r.blob_view();
+  const auto sig = r.blob_view();
   if (!y || !sig || !r.at_end()) return std::nullopt;
   return std::make_pair(*y, *sig);
 }
@@ -97,7 +97,8 @@ std::vector<Message> PrivOutputFunc::on_round(sim::FuncContext& ctx, int /*round
   for (std::size_t p = 0; p < spec_.n; ++p) {
     // Hand-rolled writer for the body decode_priv_output() parses.
     // ANALYZE-EMITS(priv_output)
-    Writer w;
+    Writer w = sim::func_output_writer(
+        1 + (p == i_star ? 8 + y.size() + sig.size() : 0) + 4 + kp.verification_key.size());
     if (p == i_star) {
       w.u8(1).blob(y).blob(sig);
     } else {
@@ -105,20 +106,12 @@ std::vector<Message> PrivOutputFunc::on_round(sim::FuncContext& ctx, int /*round
     }
     w.blob(kp.verification_key);
     deliveries.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                                 sim::encode_func_output(w.bytes())});
+                                 sim::seal_func_output(w.take())});
   }
 
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  const bool abort = sim::gate_deliveries(ctx, deliveries);
   if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+  return deliveries;
 }
 
 OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)
@@ -133,16 +126,16 @@ std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitFuncOutput: {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      const auto priv = body ? decode_priv_output(*body) : std::nullopt;
+      const auto body = sim::decode_func_output_view(fm->payload);
+      auto priv = body ? decode_priv_output(*body) : std::nullopt;
       if (!priv) {
         // Phase-1 abort: the whole protocol aborts (paper, App. B).
         finish_bot();
         return {};
       }
-      vk_ = priv->vk;
-      if (priv->has_value && lamport_verify(vk_, priv->y, priv->sig)) {
-        my_value_ = std::make_pair(priv->y, priv->sig);
+      vk_ = std::make_shared<const Bytes>(std::move(priv->vk));
+      if (priv->has_value && lamport_verify(*vk_, priv->y, priv->sig)) {
+        my_value_ = std::make_pair(std::move(priv->y), std::move(priv->sig));
       }
       step_ = Step::kAwaitBroadcasts;
       return {Message{id_, sim::kBroadcast, encode_announcement(my_value_)}};
@@ -156,8 +149,8 @@ std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
       }
       for (const Message& m : in) {
         const auto ann = decode_announcement(m.payload);
-        if (ann && lamport_verify(vk_, ann->first, ann->second)) {
-          finish(ann->first);
+        if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+          finish(Bytes(ann->first.begin(), ann->first.end()));
           return {};
         }
       }

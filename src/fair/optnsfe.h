@@ -55,7 +55,7 @@ class OptNParty final : public sim::PartyBase<OptNParty> {
   Rng rng_;
 
   Step step_ = Step::kSendInput;
-  Bytes vk_;
+  std::shared_ptr<const Bytes> vk_;  // 16 KB Lamport key, shared by clones
   std::optional<std::pair<Bytes, Bytes>> my_value_;  // (y, σ) if I am p_{i*}
 };
 
@@ -66,8 +66,9 @@ std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const mpc::SfeSpec& 
 
 /// Wire helpers shared with the Lemma 18 protocol.
 Bytes encode_announcement(const std::optional<std::pair<Bytes, Bytes>>& value);
-/// Returns (y, σ) if the payload announces a value, std::nullopt otherwise.
-std::optional<std::pair<Bytes, Bytes>> decode_announcement(ByteView payload);
+/// Returns (y, σ) if the payload announces a value, std::nullopt otherwise;
+/// both are views into `payload`.
+std::optional<std::pair<ByteView, ByteView>> decode_announcement(ByteView payload);
 /// Parse a PrivOutputFunc per-party output body: (has_value, y, σ, vk).
 struct PrivOutput {
   bool has_value = false;

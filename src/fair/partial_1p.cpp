@@ -84,13 +84,13 @@ std::vector<Message> Partial1pParty::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitShares: {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      streams_ = body ? GkStreams::parse(id_, *body) : nullptr;
+      auto body = sim::decode_func_output(fm->payload);
+      streams_ = body ? GkStreams::parse(id_, std::move(*body)) : nullptr;
       if (!streams_) {
         finish_with_default();
         return {};
       }
-      last_value_ = streams_->fallback;
+      last_value_.assign(streams_->fallback.begin(), streams_->fallback.end());
       // Simultaneous schedule: BOTH parties open iteration 1 in the same
       // round (they received the dealer output in the same round).
       step_ = Step::kIterate;

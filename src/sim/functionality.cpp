@@ -2,6 +2,18 @@
 
 namespace fairsfe::sim {
 
+bool gate_deliveries(FuncContext& ctx, std::vector<Message>& deliveries) {
+  std::vector<Message> corrupted_outputs;
+  for (const Message& m : deliveries) {
+    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
+  }
+  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  for (Message& m : deliveries) {
+    if (abort && !ctx.corrupted().count(m.to)) m.payload = encode_func_abort();
+  }
+  return abort;
+}
+
 Bytes encode_func_input(ByteView input) {
   Writer w;
   w.u8(functag::kInput).blob(input);
@@ -23,6 +35,18 @@ Bytes encode_func_output(ByteView output) {
   return w.take();
 }
 
+Writer func_output_writer(std::size_t output_capacity) {
+  Writer w(5 + output_capacity);
+  w.u8(functag::kOutput).u32(0);
+  return w;
+}
+
+Bytes seal_func_output(Bytes frame) {
+  const std::size_t n = frame.size() - 5;
+  for (int i = 0; i < 4; ++i) frame[1 + i] = static_cast<std::uint8_t>(n >> (8 * i));
+  return frame;
+}
+
 Bytes encode_func_abort() {
   Writer w;
   w.u8(functag::kAbort);
@@ -30,13 +54,19 @@ Bytes encode_func_abort() {
 }
 
 std::optional<Bytes> decode_func_output(ByteView payload) {
+  const auto body = decode_func_output_view(payload);
+  if (!body) return std::nullopt;
+  return Bytes(body->begin(), body->end());
+}
+
+std::optional<ByteView> decode_func_output_view(ByteView payload) {
   Reader r(payload);
   const auto tag = r.u8();
   // Abort frames carry functag::kAbort and decode to nullopt here; every
   // party treats that as the functionality's abort signal.
   // ANALYZE-HANDLES(func_abort)
   if (!tag || *tag != functag::kOutput) return std::nullopt;
-  const auto body = r.blob();
+  const auto body = r.blob_view();
   if (!body || !r.at_end()) return std::nullopt;
   return body;
 }

@@ -46,6 +46,12 @@ class IFunctionality {
   virtual std::vector<Message> on_round(FuncContext& ctx, int round, MsgView in) = 0;
 };
 
+/// The unfair ("security with abort") release of per-party `deliveries`: the
+/// adversary sees the corrupted parties' deliveries at the abort gate, and if
+/// it aborts, every honest party's delivery becomes an abort notice. Returns
+/// whether it aborted.
+bool gate_deliveries(FuncContext& ctx, std::vector<Message>& deliveries);
+
 /// Canonical payload tags for functionality traffic, shared by protocols.
 namespace functag {
 inline constexpr std::uint8_t kInput = 1;   ///< party -> F: evaluation input
@@ -57,10 +63,17 @@ inline constexpr std::uint8_t kAbort = 3;   ///< F -> party: aborted (⊥)
 Bytes encode_func_input(ByteView input);
 std::optional<Bytes> decode_func_input(ByteView payload);
 Bytes encode_func_output(ByteView output);
+/// encode_func_output() built in place: append the output to the returned
+/// writer (reserved for `output_capacity` bytes of it), then
+/// seal_func_output(w.take()) patches the length prefix.
+Writer func_output_writer(std::size_t output_capacity);
+Bytes seal_func_output(Bytes frame);
 Bytes encode_func_abort();
 /// Returns the output if payload is a kOutput, std::nullopt for kAbort or
 /// malformed payloads.
 std::optional<Bytes> decode_func_output(ByteView payload);
+/// decode_func_output() as a view into `payload`.
+std::optional<ByteView> decode_func_output_view(ByteView payload);
 /// True if payload is a kAbort notice.
 bool is_func_abort(ByteView payload);
 
