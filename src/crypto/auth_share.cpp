@@ -1,31 +1,11 @@
 #include "crypto/auth_share.h"
 
+#include <array>
+
 #include "crypto/rng.h"
 #include "util/check.h"
 
 namespace fairsfe {
-
-namespace {
-
-constexpr std::size_t kKeySize = 16;  // MacKey::to_bytes(): a ‖ b, u64 each
-
-inline void put_le(std::uint8_t* p, std::uint64_t v, std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-// The record's tail after its summand blob: blob(tag(summand, tag_key)) ‖
-// blob(key.to_bytes()).
-void put_record_tail(std::uint8_t* p, ByteView summand, const MacKey& tag_key,
-                     const MacKey& key) {
-  put_le(p, kMacTagSize, 4);
-  mac_tag_into(tag_key, summand, std::span<std::uint8_t, kMacTagSize>(p + 4, kMacTagSize));
-  p += 4 + kMacTagSize;
-  put_le(p, kKeySize, 4);
-  put_le(p + 4, key.a.value(), 8);
-  put_le(p + 12, key.b.value(), 8);
-}
-
-}  // namespace
 
 Bytes AuthShare2::opening_to_bytes() const {
   Writer w;
@@ -48,63 +28,63 @@ std::optional<AuthShare2View> AuthShare2View::parse(ByteView record) {
   if (!summand || !tag || !key_bytes || !r.at_end()) return std::nullopt;
   const auto key = MacKey::from_bytes(*key_bytes);
   if (!key) return std::nullopt;
-  return AuthShare2View{*summand, record.first(opening_size), *key};
+  return AuthShare2View{*summand, *tag, record.first(opening_size), *key};
 }
 
 std::optional<AuthShare2> AuthShare2::from_bytes(ByteView data) {
   const auto v = AuthShare2View::parse(data);
   if (!v) return std::nullopt;
-  const ByteView tag = v->opening.subspan(4 + v->summand.size() + 4);
-  return AuthShare2{Bytes(v->summand.begin(), v->summand.end()), Bytes(tag.begin(), tag.end()),
-                    v->key};
+  return AuthShare2{Bytes(v->summand.begin(), v->summand.end()),
+                    Bytes(v->summand_tag.begin(), v->summand_tag.end()), v->key};
 }
 
-void auth_share2_records(ByteView secret, Rng& rng, std::span<std::uint8_t> rec1,
-                         std::span<std::uint8_t> rec2) {
-  const std::size_t size = auth_share2_record_size(secret.size());
-  FAIRSFE_CHECK(rec1.size() == size && rec2.size() == size,
-                "auth_share2_records: records must be auth_share2_record_size bytes");
+void auth_share2_records(ByteView secret, Rng& rng, Writer& w1, Writer& w2) {
+  const std::size_t start1 = w1.bytes().size();
+  const std::size_t start2 = w2.bytes().size();
   const MacKey k1 = MacKey::random(rng);
   const MacKey k2 = MacKey::random(rng);
-  const std::size_t m = secret.size() + 3 * 4 + 2 * kMacTagSize;  // summand length
-  const std::span<std::uint8_t> s1 = rec1.subspan(4, m);
-  const std::span<std::uint8_t> s2 = rec2.subspan(4, m);
-  put_le(rec1.data(), m, 4);
-  put_le(rec2.data(), m, 4);
+  std::array<std::uint8_t, kMacTagSize> tag{};
 
-  // s₂ first holds the payload blob(s) ‖ blob(tag(s, k₁)) ‖ blob(tag(s, k₂)),
-  // then payload ⊕ s₁ (xor_share with two shares: s₁ is the one draw).
-  std::uint8_t* p = s2.data();
-  put_le(p, secret.size(), 4);
-  if (!secret.empty()) std::memcpy(p + 4, secret.data(), secret.size());
-  p += 4 + secret.size();
+  // s₂'s blob first holds payload(s) = blob(s) ‖ blob(tag(s, k₁)) ‖
+  // blob(tag(s, k₂)), then payload ⊕ s₁ (xor_share with two shares: s₁ is the
+  // one draw).
+  const std::size_t m = auth_share2_summand_size(secret.size());
+  w2.u32(static_cast<std::uint32_t>(m)).blob(secret);
   for (const MacKey* k : {&k1, &k2}) {
-    put_le(p, kMacTagSize, 4);
-    mac_tag_into(*k, secret, std::span<std::uint8_t, kMacTagSize>(p + 4, kMacTagSize));
-    p += 4 + kMacTagSize;
+    mac_tag_into(*k, secret, tag);
+    w2.blob(tag);
   }
+  const std::span<std::uint8_t> s2 = w2.tail(m);
+  const std::span<std::uint8_t> s1 = w1.blob_slot(m);
   rng.fill(s1);
   for (std::size_t i = 0; i < m; ++i) s2[i] ^= s1[i];
 
   // Each summand is authenticated under the *other* party's key so the
   // receiver of an opening can verify it.
-  put_record_tail(rec1.data() + 4 + m, s1, k2, k1);
-  put_record_tail(rec2.data() + 4 + m, s2, k1, k2);
+  mac_tag_into(k2, s1, tag);
+  w1.blob(tag).u32(kMacKeySize);
+  k1.write(w1);
+  mac_tag_into(k1, s2, tag);
+  w2.blob(tag).u32(kMacKeySize);
+  k2.write(w2);
+  FAIRSFE_CHECK(w1.bytes().size() - start1 == auth_share2_record_size(secret.size()) &&
+                    w2.bytes().size() - start2 == auth_share2_record_size(secret.size()),
+                "auth_share2_records: record size drifted from auth_share2_record_size");
 }
 
 AuthSharing2 auth_share2(ByteView secret, Rng& rng) {
   const std::size_t size = auth_share2_record_size(secret.size());
-  Bytes records(2 * size);
-  auth_share2_records(secret, rng, std::span<std::uint8_t>(records).first(size),
-                      std::span<std::uint8_t>(records).last(size));
-  auto share1 = AuthShare2::from_bytes(ByteView(records).first(size));
-  auto share2 = AuthShare2::from_bytes(ByteView(records).last(size));
+  Writer w1(size), w2(size);
+  auth_share2_records(secret, rng, w1, w2);
+  auto share1 = AuthShare2::from_bytes(w1.bytes());
+  auto share2 = AuthShare2::from_bytes(w2.bytes());
   FAIRSFE_CHECK(share1 && share2, "auth_share2: dealt records must parse");
   return AuthSharing2{std::move(*share1), std::move(*share2)};
 }
 
 std::optional<Bytes> auth_reconstruct2(const AuthShare2& mine, ByteView other_opening) {
-  return auth_reconstruct2(AuthShare2View{mine.summand, {}, mine.key}, other_opening);
+  return auth_reconstruct2(AuthShare2View{mine.summand, mine.summand_tag, {}, mine.key},
+                           other_opening);
 }
 
 std::optional<Bytes> auth_reconstruct2(const AuthShare2View& mine, ByteView other_opening) {

@@ -40,6 +40,7 @@ struct AuthShare2 {
 // TAINT-SOURCE(share): a view of a party's authenticated summand+tag
 struct AuthShare2View {
   ByteView summand;
+  ByteView summand_tag;
   /// The record's prefix blob(summand) ‖ blob(summand_tag), which is exactly
   /// AuthShare2::opening_to_bytes().
   ByteView opening;
@@ -59,20 +60,23 @@ struct AuthSharing2 {
 // TAINT-SOURCE(share): produces the full sharing of `secret`
 AuthSharing2 auth_share2(ByteView secret, Rng& rng);
 
-/// Size of one AuthShare2::to_bytes() record for a `secret_size`-byte secret:
-/// the summand is blob(s) ‖ blob(tag) ‖ blob(tag), framed with an 8-byte tag
-/// and a 16-byte key.
-constexpr std::size_t auth_share2_record_size(std::size_t secret_size) {
-  return secret_size + 64;
+/// Size of a summand sᵢ for a `secret_size`-byte secret: that of the payload
+/// blob(s) ‖ blob(tag) ‖ blob(tag).
+constexpr std::size_t auth_share2_summand_size(std::size_t secret_size) {
+  return kBlobPrefixSize + secret_size + 2 * (kBlobPrefixSize + kMacTagSize);
 }
 
-/// auth_share2() written in place: `rec1` and `rec2` (each exactly
-/// auth_share2_record_size(secret.size()) bytes) receive share1's and
-/// share2's to_bytes() encodings. Same draws: k₁, k₂, then the summand
-/// keystream.
+/// Size of one AuthShare2::to_bytes() record, blob(summand) ‖
+/// blob(summand_tag) ‖ blob(key), for a `secret_size`-byte secret.
+constexpr std::size_t auth_share2_record_size(std::size_t secret_size) {
+  return 3 * kBlobPrefixSize + auth_share2_summand_size(secret_size) + kMacTagSize + kMacKeySize;
+}
+
+/// auth_share2() written in place: appends share1's to_bytes() record to `w1`
+/// and share2's to `w2` (auth_share2_record_size(secret.size()) bytes each).
+/// Same draws: k₁, k₂, then the summand keystream.
 // TAINT-SOURCE(share): produces the full sharing of `secret`
-void auth_share2_records(ByteView secret, Rng& rng, std::span<std::uint8_t> rec1,
-                         std::span<std::uint8_t> rec2);
+void auth_share2_records(ByteView secret, Rng& rng, Writer& w1, Writer& w2);
 
 /// Reconstruct towards the holder of `mine`, given the other party's opening
 /// message (wire format of AuthShare2::opening_to_bytes). Returns the secret,

@@ -69,14 +69,14 @@ Writer& Writer::u8(std::uint8_t v) {
 
 Writer& Writer::u32(std::uint32_t v) {
   std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  store_le(b, v, 4);
   buf_.insert(buf_.end(), b, b + 4);
   return *this;
 }
 
 Writer& Writer::u64(std::uint64_t v) {
   std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  store_le(b, v, 8);
   buf_.insert(buf_.end(), b, b + 8);
   return *this;
 }
@@ -94,7 +94,7 @@ Writer& Writer::raw(ByteView data) {
 std::span<std::uint8_t> Writer::blob_slot(std::size_t n) {
   u32(static_cast<std::uint32_t>(n));
   buf_.resize(buf_.size() + n);
-  return std::span<std::uint8_t>(buf_).last(n);
+  return tail(n);
 }
 
 Writer& Writer::str(std::string_view s) {

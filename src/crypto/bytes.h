@@ -38,6 +38,15 @@ Bytes xor_bytes(ByteView a, ByteView b);
 /// Constant-time equality (length leak only).
 bool ct_equal(ByteView a, ByteView b);
 
+/// Length of a blob's u32 length prefix in the wire format.
+inline constexpr std::size_t kBlobPrefixSize = 4;
+
+/// The wire format's little-endian fixed-width integer: the low `width` bytes
+/// of `v` at `p`. Writer::u32/u64 append exactly these bytes.
+inline void store_le(std::uint8_t* p, std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /// Append-only encoder for the canonical wire format.
 class Writer {
  public:
@@ -60,6 +69,9 @@ class Writer {
   /// through the returned span (zeroed until then). The span is valid until
   /// the next write to this writer.
   std::span<std::uint8_t> blob_slot(std::size_t n);
+  /// The last `n` bytes written, for the caller to transform in place. The
+  /// span is valid until the next write to this writer.
+  std::span<std::uint8_t> tail(std::size_t n) { return std::span<std::uint8_t>(buf_).last(n); }
 
   [[nodiscard]] const Bytes& bytes() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }

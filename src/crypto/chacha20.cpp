@@ -5,11 +5,10 @@
 
 #include "util/check.h"
 
-// The batch kernel runs the block function on kBatchBlocks counters at once
-// (twice that for bulk fills on AVX2 hosts), one vector lane per block, with
-// GCC/Clang vector extensions (SSE2 on x86-64, NEON on arm64). Elsewhere it
-// falls back to the scalar block, run once per lane. All produce the same
-// bytes.
+// The batch kernel runs the block function on kBatchBlocks counters at once,
+// one vector lane per block, with GCC/Clang vector extensions (SSE2 on
+// x86-64, NEON on arm64). Elsewhere it falls back to the scalar block, run
+// once per lane. Both produce the same bytes.
 #if defined(__GNUC__) && defined(__has_builtin) && \
     defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 #if __has_builtin(__builtin_shufflevector)
@@ -64,24 +63,21 @@ void block_scalar(const std::array<std::uint32_t, 16>& state, std::uint8_t* out)
 
 using U32x4 = std::uint32_t __attribute__((vector_size(16)));
 
-template <class V>
-[[gnu::always_inline]] inline void quarter_round_v(V& a, V& b, V& c, V& d) {
+[[gnu::always_inline]] inline void quarter_round_v(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
   a += b; d ^= a; d = (d << 16) | (d >> 16);
   c += d; b ^= c; b = (b << 12) | (b >> 20);
   a += b; d ^= a; d = (d << 8) | (d >> 24);
   c += d; b ^= c; b = (b << 7) | (b >> 25);
 }
 
-// Blocks for counters c .. c+kLanes-1 (lane k holds block k; the counter
-// wraps mod 2^32 exactly as the scalar state_[12] += 1 does), written
-// block-major.
-template <class V, int kLanes>
-[[gnu::always_inline]] inline void blocks_lanes(const std::array<std::uint32_t, 16>& state,
-                                                std::uint8_t* out) {
-  V in[16];
-  for (int i = 0; i < 16; ++i) in[i] = V{} + state[i];
-  for (int k = 0; k < kLanes; ++k) in[12][k] += static_cast<std::uint32_t>(k);
-  V x[16];
+// Blocks for counters c .. c+3 (lane k holds block k; the counter wraps mod
+// 2^32 exactly as the scalar state_[12] += 1 does), written block-major.
+void blocks_batch(const std::array<std::uint32_t, 16>& state, std::uint8_t* out) {
+  static_assert(ChaCha20::kBatchBlocks == 4, "one vector lane per block");
+  U32x4 in[16];
+  for (int i = 0; i < 16; ++i) in[i] = U32x4{} + state[i];
+  in[12] += U32x4{0, 1, 2, 3};
+  U32x4 x[16];
   for (int i = 0; i < 16; ++i) x[i] = in[i];
   for (int round = 0; round < 10; ++round) {
     quarter_round_v(x[0], x[4], x[8], x[12]);
@@ -94,45 +90,22 @@ template <class V, int kLanes>
     quarter_round_v(x[3], x[4], x[9], x[14]);
   }
   for (int i = 0; i < 16; ++i) x[i] += in[i];
-  // 4x4 transposes: words i..i+3 of lanes g..g+3 become 16 bytes of blocks
-  // g..g+3 (little-endian host, so a lane stores as its le32 bytes).
+  // 4x4 transposes: words i..i+3 of the four lanes become 16 bytes of each
+  // block (little-endian host, so a lane stores as its le32 bytes).
   for (int i = 0; i < 16; i += 4) {
-    for (int g = 0; g < kLanes; g += 4) {
-      U32x4 w[4];
-      for (int r = 0; r < 4; ++r) std::memcpy(&w[r], &x[i + r][g], sizeof(U32x4));
-      const U32x4 ab_lo = __builtin_shufflevector(w[0], w[1], 0, 4, 1, 5);
-      const U32x4 ab_hi = __builtin_shufflevector(w[0], w[1], 2, 6, 3, 7);
-      const U32x4 cd_lo = __builtin_shufflevector(w[2], w[3], 0, 4, 1, 5);
-      const U32x4 cd_hi = __builtin_shufflevector(w[2], w[3], 2, 6, 3, 7);
-      const U32x4 rows[4] = {__builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5),
-                             __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7),
-                             __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5),
-                             __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7)};
-      for (int k = 0; k < 4; ++k) {
-        std::memcpy(out + (g + k) * ChaCha20::kBlockSize + 4 * i, &rows[k], sizeof(U32x4));
-      }
+    const U32x4 ab_lo = __builtin_shufflevector(x[i], x[i + 1], 0, 4, 1, 5);
+    const U32x4 ab_hi = __builtin_shufflevector(x[i], x[i + 1], 2, 6, 3, 7);
+    const U32x4 cd_lo = __builtin_shufflevector(x[i + 2], x[i + 3], 0, 4, 1, 5);
+    const U32x4 cd_hi = __builtin_shufflevector(x[i + 2], x[i + 3], 2, 6, 3, 7);
+    const U32x4 rows[4] = {__builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5),
+                           __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7),
+                           __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5),
+                           __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7)};
+    for (int k = 0; k < 4; ++k) {
+      std::memcpy(out + k * ChaCha20::kBlockSize + 4 * i, &rows[k], sizeof(U32x4));
     }
   }
 }
-
-void blocks_batch(const std::array<std::uint32_t, 16>& state, std::uint8_t* out) {
-  static_assert(ChaCha20::kBatchBlocks == 4, "one vector lane per block");
-  blocks_lanes<U32x4, 4>(state, out);
-}
-
-#if defined(__x86_64__)
-#define FAIRSFE_CHACHA_AVX2 1
-using U32x8 = std::uint32_t __attribute__((vector_size(32)));
-
-// Eight blocks at once for fill()'s bulk path, on hosts with AVX2 (cpuid
-// checked at runtime, like sha256.cpp's SHA-NI path).
-__attribute__((target("avx2"))) void blocks_batch8(const std::array<std::uint32_t, 16>& state,
-                                                   std::uint8_t* out) {
-  blocks_lanes<U32x8, 8>(state, out);
-}
-
-bool avx2_available() { return __builtin_cpu_supports("avx2"); }
-#endif
 
 #else
 
@@ -178,13 +151,6 @@ void ChaCha20::fill(std::uint8_t* out, std::size_t n) {
   while (n > 0) {
     if (pos_ == buf_len_) {
       if (n >= kBatchSize) {
-#ifdef FAIRSFE_CHACHA_AVX2
-        static const bool have_avx2 = avx2_available();
-        for (; have_avx2 && n >= 2 * kBatchSize; n -= 2 * kBatchSize, out += 2 * kBatchSize) {
-          blocks_batch8(state_, out);
-          state_[12] += 2 * kBatchBlocks;
-        }
-#endif
         for (; n >= kBatchSize; n -= kBatchSize, out += kBatchSize) {
           blocks_batch(state_, out);
           state_[12] += kBatchBlocks;

@@ -12,10 +12,12 @@ MacKey MacKey::random(Rng& rng) {
 }
 
 Bytes MacKey::to_bytes() const {
-  Writer w;
-  w.u64(a.value()).u64(b.value());
+  Writer w(kMacKeySize);
+  write(w);
   return w.take();
 }
+
+void MacKey::write(Writer& w) const { w.u64(a.value()).u64(b.value()); }
 
 std::optional<MacKey> MacKey::from_bytes(ByteView data) {
   Reader r(data);
@@ -53,8 +55,7 @@ Bytes mac_tag(const MacKey& key, ByteView msg) {
 }
 
 void mac_tag_into(const MacKey& key, ByteView msg, std::span<std::uint8_t, kMacTagSize> out) {
-  const std::uint64_t v = mac_fold(key, msg).value();  // fp_to_bytes: u64 little-endian
-  for (std::size_t i = 0; i < kMacTagSize; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  store_le(out.data(), mac_fold(key, msg).value(), kMacTagSize);  // fp_to_bytes: u64 LE
 }
 
 bool mac_verify(const MacKey& key, ByteView msg, ByteView tag) {

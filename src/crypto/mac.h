@@ -28,11 +28,14 @@ struct MacKey {
 
   static MacKey random(Rng& rng);
 
-  /// Serialize (16 bytes).
+  /// Serialize (kMacKeySize bytes): a ‖ b, u64 each.
   [[nodiscard]] Bytes to_bytes() const;
+  /// Append the to_bytes() encoding to `w`.
+  void write(Writer& w) const;
   static std::optional<MacKey> from_bytes(ByteView data);
 };
 
+inline constexpr std::size_t kMacKeySize = 16;
 inline constexpr std::size_t kMacTagSize = 8;
 
 /// Compute the one-time MAC tag of `msg` under `key` (8 bytes).

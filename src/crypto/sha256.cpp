@@ -262,13 +262,13 @@ Sha256& Sha256::update(ByteView data) {
 
 Sha256& Sha256::u64(std::uint64_t v) {
   std::uint8_t le[8];
-  for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  store_le(le, v, 8);
   return update(le);
 }
 
 Sha256& Sha256::blob(ByteView data) {
-  std::uint8_t le[4];
-  for (int i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(data.size() >> (8 * i));
+  std::uint8_t le[kBlobPrefixSize];
+  store_le(le, data.size(), kBlobPrefixSize);
   return update(le).update(data);
 }
 

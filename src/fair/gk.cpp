@@ -112,8 +112,11 @@ std::vector<Message> deal_gk_streams(sim::FuncContext& ctx, const mpc::NotesPtr&
     const Bytes fa = j < i_star ? fake_a() : Bytes{};
     const Bytes fb = j < i_star ? fake_b() : Bytes{};
     for (const ByteView v : {ByteView(j < i_star ? fa : y), ByteView(j < i_star ? fb : y)}) {
-      const std::size_t size = auth_share2_record_size(v.size());
-      auth_share2_records(v, rng, w1.blob_slot(size), w2.blob_slot(size));
+      // blob(record): its length, then the record appended in place.
+      const auto size = static_cast<std::uint32_t>(auth_share2_record_size(v.size()));
+      w1.u32(size);
+      w2.u32(size);
+      auth_share2_records(v, rng, w1, w2);
     }
   }
 

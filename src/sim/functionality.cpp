@@ -36,14 +36,13 @@ Bytes encode_func_output(ByteView output) {
 }
 
 Writer func_output_writer(std::size_t output_capacity) {
-  Writer w(5 + output_capacity);
+  Writer w(1 + kBlobPrefixSize + output_capacity);
   w.u8(functag::kOutput).u32(0);
   return w;
 }
 
 Bytes seal_func_output(Bytes frame) {
-  const std::size_t n = frame.size() - 5;
-  for (int i = 0; i < 4; ++i) frame[1 + i] = static_cast<std::uint8_t>(n >> (8 * i));
+  store_le(frame.data() + 1, frame.size() - 1 - kBlobPrefixSize, kBlobPrefixSize);
   return frame;
 }
 

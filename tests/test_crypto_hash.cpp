@@ -364,29 +364,5 @@ TEST(ChaCha20, CounterWrapsInsideABatch) {
   }
 }
 
-TEST(ChaCha20, EightBlockBulkMatchesFourBlockBatches) {
-  // fill() of 512 bytes or more runs the eight-block kernel on hosts with
-  // AVX2 (cpuid-checked) and the portable four-block kernel otherwise; a
-  // fill of exactly 256 bytes always runs the portable one. Same states, so
-  // the two kernels are compared directly, and both against the reference.
-  for (const std::uint32_t start : {0u, 7u, 0xFFFFFFF9u, 0xFFFFFFFEu}) {
-    const Bytes key = Rng(start).bytes(32), nonce(12, 0x42);
-    ChaCha20 four(key, nonce, start), eight(key, nonce, start);
-    Bytes a(64), b(64);
-    four.fill(a);  // one scalar block
-    eight.fill(b);
-    for (int i = 0; i < 6; ++i) {
-      Bytes part(ChaCha20::kBatchSize);
-      four.fill(part);
-      a.insert(a.end(), part.begin(), part.end());
-    }
-    Bytes bulk(6 * ChaCha20::kBatchSize);
-    eight.fill(bulk);
-    b.insert(b.end(), bulk.begin(), bulk.end());
-    EXPECT_EQ(a, b) << "start " << start;
-    EXPECT_EQ(b, ref_keystream(key, nonce, start, b.size())) << "start " << start;
-  }
-}
-
 }  // namespace
 }  // namespace fairsfe

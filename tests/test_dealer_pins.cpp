@@ -173,8 +173,13 @@ TEST(AuthShareRecords, MatchTheOwnedSharesWithTheSameDraws) {
     Rng ref_rng(500 + len), owned_rng(500 + len), rec_rng(500 + len);
     const AuthSharing2 ref = reference_sharing(secret, ref_rng);
     const AuthSharing2 owned = auth_share2(secret, owned_rng);
-    Bytes rec1(auth_share2_record_size(len)), rec2(auth_share2_record_size(len));
-    auth_share2_records(secret, rec_rng, rec1, rec2);
+    // The records are appended after whatever the writers already hold.
+    Writer w1, w2;
+    w1.u32(7);
+    auth_share2_records(secret, rec_rng, w1, w2);
+    ASSERT_EQ(w1.bytes().size(), 4 + auth_share2_record_size(len)) << "len " << len;
+    const Bytes rec1(w1.bytes().begin() + 4, w1.bytes().end());
+    const Bytes& rec2 = w2.bytes();
     EXPECT_EQ(rec1, ref.share1.to_bytes()) << "len " << len;
     EXPECT_EQ(rec2, ref.share2.to_bytes()) << "len " << len;
     EXPECT_EQ(owned.share1.to_bytes(), rec1) << "len " << len;
@@ -188,8 +193,9 @@ TEST(AuthShareRecords, MatchTheOwnedSharesWithTheSameDraws) {
 TEST(AuthShareRecords, ViewsReadTheRecordInPlace) {
   Rng rng(31);
   const Bytes secret = bytes_of("in place");
-  Bytes rec1(auth_share2_record_size(secret.size())), rec2(rec1.size());
-  auth_share2_records(secret, rng, rec1, rec2);
+  Writer w1, w2;
+  auth_share2_records(secret, rng, w1, w2);
+  const Bytes rec1 = w1.take(), rec2 = w2.take();
   const auto v1 = AuthShare2View::parse(rec1);
   const auto v2 = AuthShare2View::parse(rec2);
   const auto s1 = AuthShare2::from_bytes(rec1);
@@ -198,6 +204,7 @@ TEST(AuthShareRecords, ViewsReadTheRecordInPlace) {
   EXPECT_EQ(v1->opening.data(), rec1.data());
   EXPECT_EQ(Bytes(v1->opening.begin(), v1->opening.end()), s1->opening_to_bytes());
   EXPECT_EQ(Bytes(v1->summand.begin(), v1->summand.end()), s1->summand);
+  EXPECT_EQ(Bytes(v1->summand_tag.begin(), v1->summand_tag.end()), s1->summand_tag);
   EXPECT_EQ(v1->key.a, s1->key.a);
   EXPECT_EQ(v1->key.b, s1->key.b);
   // Either half reconstructs from the other's opening, through the view and
