@@ -8,7 +8,12 @@
 #    keeps it well under 10 s) — and clang-tidy when installed. Any finding
 #    fails the build before a single TU is compiled under TSan.
 #
-# 2. TSan gate for the parallel Monte-Carlo estimation engine: build the tsan
+# 2. Clang parse (gating where Clang exists): configure and build the library
+#    with clang++ into build-clang/, so a GCC-only construct (the intrinsic
+#    kernels under target(...) attributes in src/crypto/) fails here rather
+#    than on a user's machine. Hosts without clang++ print a skip line.
+#
+# 3. TSan gate for the parallel Monte-Carlo estimation engine: build the tsan
 # preset and run the tier1 ctest label — the scheduling-independence suites
 # (estimator, thread pool, RNG forking, hot-path goldens, fault injection)
 # plus the scenario-registry, wire-codec/transport/mesh, and fairbenchd
@@ -17,7 +22,7 @@
 # silently perturbing estimates. The tier labels are assigned in
 # tests/CMakeLists.txt.
 #
-# 3. Daemon smoke (gating): start the Release fairbenchd on a unix socket,
+# 4. Daemon smoke (gating): start the Release fairbenchd on a unix socket,
 #    drive a small request mix through scripts/loadtest.py, and assert the
 #    daemon drains and exits 0 on SIGTERM — the graceful-shutdown contract.
 #
@@ -42,6 +47,15 @@ cd "$(dirname "$0")/.."
 # --- gating lint + analyze stage ---------------------------------------------
 scripts/lint.sh
 echo "static-analysis gate passed"
+
+# --- gating Clang parse, where Clang exists ------------------------------------
+if command -v clang++ >/dev/null 2>&1; then
+  cmake -S . -B build-clang -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-clang -j "$(nproc)" --target fairsfe
+  echo "clang build passed"
+else
+  echo "clang build skipped (no clang++ on this host)"
+fi
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target fairsfe_tests

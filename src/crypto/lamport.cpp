@@ -1,5 +1,7 @@
 #include "crypto/lamport.h"
 
+#include <algorithm>
+
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
 
@@ -60,6 +62,20 @@ bool lamport_verify(ByteView verification_key, ByteView msg, ByteView sig) {
     Sha256::digest32(sig.data() + i * kChunk, h);
     if (!ct_equal(h, slice(verification_key, idx))) return false;
   }
+  return true;
+}
+
+bool LamportVerifier::verify(ByteView verification_key, ByteView msg, ByteView sig) {
+  // A plain compare, not ct_equal: a verifier holds nothing secret.
+  if (cached_ && std::ranges::equal(sig, sig_) && std::ranges::equal(msg, msg_) &&
+      std::ranges::equal(verification_key, vk_)) {
+    return true;
+  }
+  if (!lamport_verify(verification_key, msg, sig)) return false;
+  vk_.assign(verification_key.begin(), verification_key.end());
+  msg_.assign(msg.begin(), msg.end());
+  sig_.assign(sig.begin(), sig.end());
+  cached_ = true;
   return true;
 }
 

@@ -34,4 +34,22 @@ Bytes lamport_sign(const Bytes& signing_key, ByteView msg);
 /// Verify a signature against a verification key.
 bool lamport_verify(ByteView verification_key, ByteView msg, ByteView sig);
 
+/// lamport_verify with a memo of the last triple that verified. Verifying is
+/// a pure function of (vk, msg, sig), so a call byte-equal to that triple
+/// returns true after a compare instead of 256 compressions; anything else,
+/// down to a one-bit change, is verified in full, and a failure is never
+/// cached. Not thread-safe: ΠOptnSFE and Lemma 18 share one instance among
+/// the parties (and probe clones) of one run, which all execute on that
+/// run's engine thread.
+class LamportVerifier {
+ public:
+  bool verify(ByteView verification_key, ByteView msg, ByteView sig);
+
+ private:
+  bool cached_ = false;  ///< (vk_, msg_, sig_) verified
+  Bytes vk_;
+  Bytes msg_;
+  Bytes sig_;
+};
+
 }  // namespace fairsfe

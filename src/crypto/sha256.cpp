@@ -30,43 +30,50 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 #ifdef FAIRSFE_SHA_NI
 
+#define FAIRSFE_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+// Big-endian bytes <-> native words, within each 32-bit lane.
+inline FAIRSFE_SHA_TARGET __m128i bswap32(__m128i v) {
+  return _mm_shuffle_epi8(v, _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL));
+}
+
+// (ABEF, CDGH) back to the words (a,b,c,d) and (e,f,g,h), low lane first.
+inline FAIRSFE_SHA_TARGET void unpack_state(__m128i state0, __m128i state1, __m128i& abcd,
+                                            __m128i& efgh) {
+  const __m128i tmp = _mm_shuffle_epi32(state0, 0x1B);
+  state1 = _mm_shuffle_epi32(state1, 0xB1);
+  abcd = _mm_blend_epi16(tmp, state1, 0xF0);
+  efgh = _mm_alignr_epi8(state1, tmp, 8);
+}
+
 // One compression using the SHA extension (sha256rnds2/sha256msg1/
-// sha256msg2). Bit-identical to the portable loop — the hash itself is
-// unchanged, only the block pass — and gated at runtime on cpuid, so the
-// portable path below stays the behavioural reference everywhere else.
-// Forking an Rng costs four compressions (two with the HMAC key schedule
-// cached), and the estimator derives four streams per Monte-Carlo run, so
-// this is the hottest primitive in the whole simulator.
-__attribute__((target("sha,sse4.1,ssse3"))) void process_block_hw(
-    std::uint32_t* state, const std::uint8_t* data) {
-  const __m128i kShuffle =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+// sha256msg2): the 64 rounds over the block words W0..W15 (msg0..msg3, four
+// native words each) and the feed-forward, on the (ABEF, CDGH) pair. Both
+// block entry points inline this one copy. Bit-identical to the portable
+// loop — the hash itself is unchanged, only the block pass — and gated at
+// runtime on cpuid, so the portable path below stays the behavioural
+// reference everywhere else. Forking an Rng costs four compressions (two
+// with the HMAC key schedule cached), the estimator derives four streams
+// per Monte-Carlo run, and a Lamport key costs 512, so this is the hottest
+// primitive in the whole simulator.
+__attribute__((always_inline)) inline FAIRSFE_SHA_TARGET void compress_hw(
+    __m128i& state0, __m128i& state1, __m128i msg0, __m128i msg1, __m128i msg2,
+    __m128i msg3) {
   const auto k = [](std::uint64_t hi, std::uint64_t lo) {
     return _mm_set_epi64x(static_cast<long long>(hi), static_cast<long long>(lo));
   };
-
-  // state[] is {a,b,c,d,e,f,g,h}; the instruction wants (ABEF, CDGH) pairs.
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
-  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);
-  state1 = _mm_shuffle_epi32(state1, 0x1B);
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);
-
   const __m128i abef_save = state0;
   const __m128i cdgh_save = state1;
-  const __m128i* blk = reinterpret_cast<const __m128i*>(data);
   __m128i msg;
+  __m128i tmp;
 
   // Rounds 0-3
-  __m128i msg0 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 0), kShuffle);
   msg = _mm_add_epi32(msg0, k(0xE9B5DBA5B5C0FBCFULL, 0x71374491428A2F98ULL));
   state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
   msg = _mm_shuffle_epi32(msg, 0x0E);
   state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
 
   // Rounds 4-7
-  __m128i msg1 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 1), kShuffle);
   msg = _mm_add_epi32(msg1, k(0xAB1C5ED5923F82A4ULL, 0x59F111F13956C25BULL));
   state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
   msg = _mm_shuffle_epi32(msg, 0x0E);
@@ -74,7 +81,6 @@ __attribute__((target("sha,sse4.1,ssse3"))) void process_block_hw(
   msg0 = _mm_sha256msg1_epu32(msg0, msg1);
 
   // Rounds 8-11
-  __m128i msg2 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 2), kShuffle);
   msg = _mm_add_epi32(msg2, k(0x550C7DC3243185BEULL, 0x12835B01D807AA98ULL));
   state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
   msg = _mm_shuffle_epi32(msg, 0x0E);
@@ -82,7 +88,6 @@ __attribute__((target("sha,sse4.1,ssse3"))) void process_block_hw(
   msg1 = _mm_sha256msg1_epu32(msg1, msg2);
 
   // Rounds 12-15
-  __m128i msg3 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 3), kShuffle);
   msg = _mm_add_epi32(msg3, k(0xC19BF1749BDC06A7ULL, 0x80DEB1FE72BE5D74ULL));
   state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
   tmp = _mm_alignr_epi8(msg3, msg2, 4);
@@ -159,19 +164,58 @@ __attribute__((target("sha,sse4.1,ssse3"))) void process_block_hw(
 
   state0 = _mm_add_epi32(state0, abef_save);
   state1 = _mm_add_epi32(state1, cdgh_save);
-
-  // Back to {a..d}, {e..h} memory order.
-  tmp = _mm_shuffle_epi32(state0, 0x1B);
-  state1 = _mm_shuffle_epi32(state1, 0xB1);
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);
-  state1 = _mm_alignr_epi8(state1, tmp, 8);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
 }
 
-bool sha_ni_available() {
-  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
-         __builtin_cpu_supports("ssse3");
+FAIRSFE_SHA_TARGET void process_block_hw(std::uint32_t* state, const std::uint8_t* data) {
+  // state[] is {a,b,c,d,e,f,g,h}; the instruction wants (ABEF, CDGH) pairs.
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);
+  state1 = _mm_shuffle_epi32(state1, 0x1B);
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);
+
+  const __m128i* blk = reinterpret_cast<const __m128i*>(data);
+  compress_hw(state0, state1, bswap32(_mm_loadu_si128(blk + 0)),
+              bswap32(_mm_loadu_si128(blk + 1)), bswap32(_mm_loadu_si128(blk + 2)),
+              bswap32(_mm_loadu_si128(blk + 3)));
+
+  __m128i abcd;
+  __m128i efgh;
+  unpack_state(state0, state1, abcd, efgh);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abcd);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), efgh);
+}
+
+// digest32 in one block pass: a 32-byte message pads to one block whose
+// words W8..W15 are constants (0x80000000, six zeros, the bit length 256),
+// and the state starts at the IV, so neither goes through memory; the
+// digest is byte-swapped straight into `out`.
+FAIRSFE_SHA_TARGET void digest32_hw(const std::uint8_t* in, std::uint8_t* out) {
+  // The IV as the (ABEF, CDGH) pair: (a,b,e,f) and (c,d,g,h), high lane first.
+  __m128i state0 = _mm_set_epi32(0x6a09e667, static_cast<int>(0xbb67ae85), 0x510e527f,
+                                 static_cast<int>(0x9b05688c));
+  __m128i state1 =
+      _mm_set_epi32(0x3c6ef372, static_cast<int>(0xa54ff53a), 0x1f83d9ab, 0x5be0cd19);
+  const __m128i* blk = reinterpret_cast<const __m128i*>(in);
+  compress_hw(state0, state1, bswap32(_mm_loadu_si128(blk + 0)),
+              bswap32(_mm_loadu_si128(blk + 1)),
+              _mm_set_epi32(0, 0, 0, static_cast<int>(0x80000000)),  // W8..W11
+              _mm_set_epi32(256, 0, 0, 0));                            // W12..W15
+  __m128i abcd;
+  __m128i efgh;
+  unpack_state(state0, state1, abcd, efgh);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), bswap32(abcd));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16), bswap32(efgh));
+}
+
+bool have_sha_ni() {
+  // Function-local so the cpuid probe cannot race static initialization in
+  // other translation units (scenario registration hashes at startup).
+  static const bool have = __builtin_cpu_supports("sha") &&
+                           __builtin_cpu_supports("sse4.1") &&
+                           __builtin_cpu_supports("ssse3");
+  return have;
 }
 
 #endif  // FAIRSFE_SHA_NI
@@ -185,10 +229,7 @@ Sha256::Sha256()
 
 void Sha256::process_block(const std::uint8_t* block) {
 #ifdef FAIRSFE_SHA_NI
-  // Function-local so the cpuid probe cannot race static initialization in
-  // other translation units (scenario registration hashes at startup).
-  static const bool have_sha_ni = sha_ni_available();
-  if (have_sha_ni) {
+  if (have_sha_ni()) {
     process_block_hw(state_.data(), block);
     return;
   }
@@ -302,6 +343,12 @@ void Sha256::finish(std::span<std::uint8_t, kDigestSize> out) {
 }
 
 void Sha256::digest32(const std::uint8_t* in, std::span<std::uint8_t, kDigestSize> out) {
+#ifdef FAIRSFE_SHA_NI
+  if (have_sha_ni()) {
+    digest32_hw(in, out.data());
+    return;
+  }
+#endif
   Sha256 h;  // buf_ starts zeroed
   std::memcpy(h.buf_.data(), in, 32);
   h.buf_[32] = 0x80;

@@ -24,8 +24,13 @@ std::optional<std::uint8_t> decode_flag(ByteView payload) {
   return flag;
 }
 
-Lemma18Party::Lemma18Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)
-    : PartyBase(id), spec_(std::move(spec)), input_(std::move(input)), rng_(std::move(rng)) {}
+Lemma18Party::Lemma18Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng,
+                           std::shared_ptr<LamportVerifier> verifier)
+    : PartyBase(id),
+      spec_(std::move(spec)),
+      input_(std::move(input)),
+      rng_(std::move(rng)),
+      verifier_(std::move(verifier)) {}
 
 std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
   switch (step_) {
@@ -43,7 +48,7 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         return {};
       }
       vk_ = std::make_shared<const Bytes>(std::move(priv->vk));
-      if (priv->has_value && lamport_verify(*vk_, priv->y, priv->sig)) {
+      if (priv->has_value && verifier_->verify(*vk_, priv->y, priv->sig)) {
         my_value_ = std::make_pair(std::move(priv->y), std::move(priv->sig));
       }
       // Step 2: send "0" to all other parties.
@@ -61,7 +66,7 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         // corrupted p_{i*} might even have sent a round early).
         for (const Message& m : in) {
           const auto ann = decode_announcement(m.payload);
-          if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+          if (ann && verifier_->verify(*vk_, ann->first, ann->second)) {
             finish(Bytes(ann->first.begin(), ann->first.end()));
             return {};
           }
@@ -98,7 +103,7 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitValue: {
       for (const Message& m : in) {
         const auto ann = decode_announcement(m.payload);
-        if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+        if (ann && verifier_->verify(*vk_, ann->first, ann->second)) {
           finish(Bytes(ann->first.begin(), ann->first.end()));
           return {};
         }
@@ -123,9 +128,11 @@ std::vector<std::unique_ptr<sim::IParty>> make_lemma18_parties(
     const mpc::SfeSpec& spec, const std::vector<Bytes>& inputs, Rng& rng) {
   std::vector<std::unique_ptr<sim::IParty>> parties;
   parties.reserve(inputs.size());
+  // One verifier per instance, i.e. per run: its memo never crosses runs.
+  const auto verifier = std::make_shared<LamportVerifier>();
   for (std::size_t p = 0; p < inputs.size(); ++p) {
     parties.push_back(std::make_unique<Lemma18Party>(static_cast<sim::PartyId>(p), spec,
-                                                     inputs[p], rng.fork("lemma18")));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
+                                                     inputs[p], rng.fork("lemma18"), verifier));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
   }
   return parties;
 }

@@ -26,10 +26,14 @@ namespace fairsfe::fair {
 
 class Lemma18Party final : public sim::PartyBase<Lemma18Party> {
  public:
-  Lemma18Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng);
+  Lemma18Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng,
+               std::shared_ptr<LamportVerifier> verifier);
 
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
+
+  /// The run's verifier, shared by all parties of one instance and their clones.
+  [[nodiscard]] const LamportVerifier& verifier() const { return *verifier_; }
 
  private:
   enum class Step { kSendInput, kAwaitFuncOutput, kAwaitFlags, kAwaitValue };
@@ -37,6 +41,7 @@ class Lemma18Party final : public sim::PartyBase<Lemma18Party> {
   mpc::SfeSpec spec_;
   Bytes input_;
   Rng rng_;
+  std::shared_ptr<LamportVerifier> verifier_;  // per-run memo, shared by clones
 
   Step step_ = Step::kSendInput;
   std::shared_ptr<const Bytes> vk_;  // 16 KB Lamport key, shared by clones

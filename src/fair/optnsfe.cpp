@@ -114,8 +114,13 @@ std::vector<Message> PrivOutputFunc::on_round(sim::FuncContext& ctx, int /*round
   return deliveries;
 }
 
-OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)
-    : PartyBase(id), spec_(std::move(spec)), input_(std::move(input)), rng_(std::move(rng)) {}
+OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng,
+                     std::shared_ptr<LamportVerifier> verifier)
+    : PartyBase(id),
+      spec_(std::move(spec)),
+      input_(std::move(input)),
+      rng_(std::move(rng)),
+      verifier_(std::move(verifier)) {}
 
 std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
   switch (step_) {
@@ -134,7 +139,7 @@ std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
         return {};
       }
       vk_ = std::make_shared<const Bytes>(std::move(priv->vk));
-      if (priv->has_value && lamport_verify(*vk_, priv->y, priv->sig)) {
+      if (priv->has_value && verifier_->verify(*vk_, priv->y, priv->sig)) {
         my_value_ = std::make_pair(std::move(priv->y), std::move(priv->sig));
       }
       step_ = Step::kAwaitBroadcasts;
@@ -149,7 +154,7 @@ std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
       }
       for (const Message& m : in) {
         const auto ann = decode_announcement(m.payload);
-        if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+        if (ann && verifier_->verify(*vk_, ann->first, ann->second)) {
           finish(Bytes(ann->first.begin(), ann->first.end()));
           return {};
         }
@@ -176,9 +181,11 @@ std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const mpc::SfeSpec& 
                                                             Rng& rng) {
   std::vector<std::unique_ptr<sim::IParty>> parties;
   parties.reserve(inputs.size());
+  // One verifier per instance, i.e. per run: its memo never crosses runs.
+  const auto verifier = std::make_shared<LamportVerifier>();
   for (std::size_t p = 0; p < inputs.size(); ++p) {
     parties.push_back(std::make_unique<OptNParty>(static_cast<sim::PartyId>(p), spec,
-                                                  inputs[p], rng.fork("optn-party")));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
+                                                  inputs[p], rng.fork("optn-party"), verifier));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
   }
   return parties;
 }

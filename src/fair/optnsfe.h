@@ -42,10 +42,14 @@ class PrivOutputFunc final : public sim::IFunctionality {
 
 class OptNParty final : public sim::PartyBase<OptNParty> {
  public:
-  OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng);
+  OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng,
+            std::shared_ptr<LamportVerifier> verifier);
 
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
+
+  /// The run's verifier, shared by all parties of one instance and their clones.
+  [[nodiscard]] const LamportVerifier& verifier() const { return *verifier_; }
 
  private:
   enum class Step { kSendInput, kAwaitFuncOutput, kAwaitBroadcasts };
@@ -53,6 +57,7 @@ class OptNParty final : public sim::PartyBase<OptNParty> {
   mpc::SfeSpec spec_;
   Bytes input_;
   Rng rng_;
+  std::shared_ptr<LamportVerifier> verifier_;  // per-run memo, shared by clones
 
   Step step_ = Step::kSendInput;
   std::shared_ptr<const Bytes> vk_;  // 16 KB Lamport key, shared by clones

@@ -15,7 +15,11 @@
 // `clone()` must deep-copy all mutable state; immutable dealt state (a share
 // stream that never changes after it is delivered) may be shared between a
 // party and its clones via `shared_ptr<const>`, so a clone stays valid after
-// its original is destroyed. The adversary uses clones to probe hypothetical
+// its original is destroyed. The one mutable exception is a memo of a pure
+// function (ΠOptnSFE's `LamportVerifier`): it may be shared via `shared_ptr`
+// among the parties of one protocol instance and their clones, because what
+// it returns never depends on who filled it. Such a memo belongs to one run:
+// never share it across instances, runs or threads. The adversary uses clones to probe hypothetical
 // continuations of corrupted parties it controls (once per round in the 1/p
 // attacks), which is legitimate since it owns those states.
 #pragma once

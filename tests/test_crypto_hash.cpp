@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <vector>
 
 #include "crypto/bytes.h"
 #include "crypto/chacha20.h"
@@ -61,12 +62,21 @@ TEST(Sha256, LengthBoundaryPadding) {
 
 TEST(Sha256, Digest32MatchesIncremental) {
   Rng rng(32);
-  for (int i = 0; i < 64; ++i) {
-    const Bytes in = rng.bytes(32);
+  std::vector<Bytes> inputs{Bytes(32, 0x00), Bytes(32, 0xff)};
+  for (int i = 0; i < 1024; ++i) inputs.push_back(rng.bytes(32));
+  for (const Bytes& in : inputs) {
     std::array<std::uint8_t, Sha256::kDigestSize> d;
     Sha256::digest32(in.data(), d);
-    EXPECT_EQ(Bytes(d.begin(), d.end()), sha256(in));
+    EXPECT_EQ(Bytes(d.begin(), d.end()), sha256(in)) << to_hex(in);
   }
+}
+
+TEST(Sha256, Digest32KnownAnswer) {
+  const Bytes zeros(32, 0x00);
+  std::array<std::uint8_t, Sha256::kDigestSize> d;
+  Sha256::digest32(zeros.data(), d);
+  EXPECT_EQ(to_hex(Bytes(d.begin(), d.end())),
+            "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925");
 }
 
 TEST(Sha256, LabeledHashDomainSeparation) {

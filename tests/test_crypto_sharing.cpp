@@ -1,5 +1,5 @@
-// Tests for XOR/additive sharing, Shamir, authenticated 2-of-2 sharing, and
-// Lamport signatures.
+// Tests for XOR/additive sharing, Shamir, authenticated 2-of-2 sharing,
+// Lamport signatures and the per-run LamportVerifier.
 #include <gtest/gtest.h>
 
 #include "crypto/auth_share.h"
@@ -7,6 +7,8 @@
 #include "crypto/rng.h"
 #include "crypto/secret_sharing.h"
 #include "crypto/shamir.h"
+#include "fair/lemma18.h"
+#include "fair/optnsfe.h"
 
 namespace fairsfe {
 namespace {
@@ -200,6 +202,87 @@ TEST(Lamport, RejectsWrongKeyAndMalformed) {
   EXPECT_FALSE(lamport_verify(b.verification_key, msg, lamport_sign(a.signing_key, msg)));
   EXPECT_FALSE(lamport_verify(a.verification_key, msg, bytes_of("short")));
   EXPECT_FALSE(lamport_verify(bytes_of("short"), msg, lamport_sign(a.signing_key, msg)));
+}
+
+// A seeded mix of valid triples and their repeats, one-bit flips of sig, msg
+// and vk right after a valid (so cached) triple, a second key pair and
+// truncated sig and vk: the memo answers what lamport_verify answers at every
+// step.
+TEST(LamportVerifier, MatchesLamportVerifyOnSeededSequence) {
+  struct Triple {
+    Bytes vk;
+    Bytes msg;
+    Bytes sig;
+  };
+  Rng rng(18);
+  const LamportKeyPair a = lamport_gen(rng);
+  const LamportKeyPair b = lamport_gen(rng);
+  std::vector<Triple> valid;
+  for (const LamportKeyPair* kp : {&a, &b}) {
+    for (const char* m : {"y1", "y2"}) {
+      valid.push_back({kp->verification_key, bytes_of(m), lamport_sign(kp->signing_key, bytes_of(m))});
+    }
+  }
+  const auto flip = [&rng](Bytes x) {
+    const std::size_t bit = rng.below(8 * x.size());
+    x[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    return x;
+  };
+  const auto truncate = [](const Bytes& x) { return Bytes(x.begin(), x.end() - 1); };
+
+  LamportVerifier verifier;
+  int step = 0;
+  int accepted = 0;
+  int rejected = 0;
+  const auto check = [&](const Triple& t) {
+    const bool want = lamport_verify(t.vk, t.msg, t.sig);
+    EXPECT_EQ(verifier.verify(t.vk, t.msg, t.sig), want) << "step " << step;
+    ++step;
+    (want ? accepted : rejected) += 1;
+  };
+  for (int i = 0; i < 300; ++i) {
+    const Triple& t = valid[rng.below(valid.size())];
+    check(t);
+    Triple probe = t;
+    switch (rng.below(7)) {
+      case 0: break;
+      case 1: probe.sig = flip(t.sig); break;
+      case 2: probe.msg = flip(t.msg); break;
+      case 3: probe.vk = flip(t.vk); break;
+      case 4: probe.sig = truncate(t.sig); break;
+      case 5: probe.vk = truncate(t.vk); break;
+      default: probe.vk = valid[rng.below(valid.size())].vk; break;
+    }
+    // Twice: a rejected triple must be rejected again (failures are not cached).
+    check(probe);
+    check(probe);
+  }
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 200);
+}
+
+// Every party of one instance holds the same verifier, and so does each
+// probe clone; a second instance (the next run) gets its own.
+template <typename Party, typename Make>
+void expect_verifier_per_instance(Make make) {
+  const mpc::SfeSpec spec = mpc::make_concat_spec(3, 1);
+  const std::vector<Bytes> inputs(3, Bytes{1});
+  Rng rng(19);
+  const auto verifier_of = [](const sim::IParty& p) {
+    return &dynamic_cast<const Party&>(p).verifier();
+  };
+  const auto run1 = make(spec, inputs, rng);
+  const auto run2 = make(spec, inputs, rng);
+  for (const auto& p : run1) {
+    EXPECT_EQ(verifier_of(*p), verifier_of(*run1[0]));
+    EXPECT_EQ(verifier_of(*p->clone()), verifier_of(*p));
+    for (const auto& q : run2) EXPECT_NE(verifier_of(*p), verifier_of(*q));
+  }
+}
+
+TEST(LamportVerifier, OnePerInstanceSharedByClones) {
+  expect_verifier_per_instance<fair::OptNParty>(fair::make_optn_parties);
+  expect_verifier_per_instance<fair::Lemma18Party>(fair::make_lemma18_parties);
 }
 
 }  // namespace
