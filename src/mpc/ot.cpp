@@ -84,8 +84,9 @@ std::vector<sim::Message> OtHub::on_round(sim::FuncContext& /*ctx*/, int /*round
       const auto m1 = r.u8();
       if (!label || !m0 || !m1 || !r.at_end()) continue;
       Pending& p = pending_[*label];
-      if (!p.messages) {
-        p.messages = std::make_pair(Bytes{*m0}, Bytes{*m1});
+      if (!p.has_messages) {
+        p.has_messages = true;
+        p.bit = {*m0 != 0, *m1 != 0};
         if (p.choice && !p.delivered) ready_.push_back(*label);
       }
     } else if (*tag == kTagSendStr) {
@@ -95,8 +96,9 @@ std::vector<sim::Message> OtHub::on_round(sim::FuncContext& /*ctx*/, int /*round
       const auto m1 = r.blob();
       if (!label || !m0 || !m1 || !r.at_end()) continue;
       Pending& p = pending_[*label];
-      if (!p.messages) {
-        p.messages = std::make_pair(*m0, *m1);
+      if (!p.has_messages) {
+        p.has_messages = true;
+        p.str = {*m0, *m1};
         p.is_string = true;
         if (p.choice && !p.delivered) ready_.push_back(*label);
       }
@@ -109,7 +111,7 @@ std::vector<sim::Message> OtHub::on_round(sim::FuncContext& /*ctx*/, int /*round
       if (!p.choice) {
         p.choice = (*c != 0);
         p.receiver = m.from;
-        if (p.messages && !p.delivered) ready_.push_back(*label);
+        if (p.has_messages && !p.delivered) ready_.push_back(*label);
       }
     }
   }
@@ -118,12 +120,12 @@ std::vector<sim::Message> OtHub::on_round(sim::FuncContext& /*ctx*/, int /*round
   out.reserve(ready_.size());
   for (const std::uint64_t label : ready_) {
     Pending& p = pending_[label];
-    const Bytes& mc = *p.choice ? p.messages->second : p.messages->first;
     if (p.is_string) {
+      const Bytes& mc = *p.choice ? p.str.second : p.str.first;
       out.push_back(sim::Message{sim::kFunc, p.receiver, encode_ot_result_str(label, mc)});
     } else {
-      out.push_back(
-          sim::Message{sim::kFunc, p.receiver, encode_ot_result(label, mc[0] != 0)});
+      const bool mc = *p.choice ? p.bit.second : p.bit.first;
+      out.push_back(sim::Message{sim::kFunc, p.receiver, encode_ot_result(label, mc)});
     }
     p.delivered = true;
   }

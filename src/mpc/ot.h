@@ -52,7 +52,9 @@ class OtHub final : public sim::IFunctionality {
 
  private:
   struct Pending {
-    std::optional<std::pair<Bytes, Bytes>> messages;  // m0, m1 (1 byte for bit-OT)
+    bool has_messages = false;
+    std::pair<Bytes, Bytes> str;   // string-OT m0, m1
+    std::pair<bool, bool> bit{};   // bit-OT m0, m1: no heap block per transfer
     std::optional<bool> choice;
     sim::PartyId receiver = 0;
     bool is_string = false;

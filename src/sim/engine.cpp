@@ -247,6 +247,17 @@ ExecutionResult Engine::run() {
     }
   };
 
+  // Room for a whole batch of sends, growing geometrically. A party that
+  // emits thousands of messages in one round (the OT-driven offline phase)
+  // would otherwise pass through several doublings of the round buffer,
+  // each of which holds the old and the new block at once.
+  const auto reserve_for = [](RoundBuf& buf, std::size_t count) {
+    const std::size_t need = buf.msgs.size() + count;
+    if (need > buf.msgs.capacity()) {
+      buf.msgs.reserve(std::max(need, 2 * buf.msgs.capacity()));
+    }
+  };
+
   // Route one message: move it into the round buffer exactly once, then fan
   // out by index. Broadcast bodies are shared, never duplicated.
   //
@@ -413,6 +424,7 @@ ExecutionResult Engine::run() {
         stalled[static_cast<std::size_t>(pid)] = 0;
       }
       std::vector<Message> out = p.on_round(r, prev->mailbox(pid));
+      reserve_for(*cur, out.size());
       for (Message& m : out) {
         m.from = pid;  // authenticated channels: sender identity is bound
         deliver(*cur, std::move(m));
@@ -422,6 +434,7 @@ ExecutionResult Engine::run() {
     // 2. Hybrid functionality moves (sees last round's kFunc traffic).
     if (functionality_) {
       std::vector<Message> out = functionality_->on_round(func_ctx, r, prev->func_mailbox());
+      reserve_for(*cur, out.size());
       for (Message& m : out) {
         m.from = kFunc;
         deliver(*cur, std::move(m));
